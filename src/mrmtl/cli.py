@@ -3,8 +3,9 @@
 Configuration comes from one JSON file merged with flag overrides (flags
 win). Every command validates the merged config fully before touching the
 filesystem, trains or loads model bundles, and emits the artifact files
-defined by the analysis module. Exit codes: 0 success, 2 usage or config
-problems, 3 runtime failures such as training divergence.
+defined by the analysis module. Exit codes: 0 success, 2 usage, config or
+input problems (including corrupt bundles and checkpoints), 3 runtime
+failures such as training divergence.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .models import (
     train_mrmtl,
     train_srstl,
 )
-from .nn import NumericError
+from .nn import CheckpointError, NumericError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -488,7 +489,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BundleError, CifarFormatError, FileNotFoundError) as e:
+    except (ConfigError, BundleError, CheckpointError, CifarFormatError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, NumericError, protocol.CalibrationError, OSError,

@@ -477,10 +477,20 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
     manifest_path = bundle / "bundle.json"
     if not manifest_path.is_file():
         raise BundleError(f"no bundle.json in {bundle}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise BundleError(f"{manifest_path} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise BundleError(f"{manifest_path} must hold a JSON object")
     if manifest.get("format_version") != BUNDLE_VERSION:
         raise BundleError(f"unsupported bundle version {manifest.get('format_version')!r}")
-    arch = ArchitectureConfig.from_dict(manifest["architecture"])
+    try:
+        arch = ArchitectureConfig.from_dict(manifest["architecture"])
+        mode = manifest["mode"]
+        loss_weight = manifest["training"]["loss_weight"] if mode == "mrmtl" else None
+    except (KeyError, TypeError, ValueError) as e:
+        raise BundleError(f"{manifest_path} is malformed: {e!r}") from None
 
     def load_part(name: str) -> nn.Network:
         path = bundle / f"{name}.ckpt"
@@ -489,22 +499,22 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
         net, _ = nn.load_checkpoint(path)
         return net
 
-    if manifest["mode"] == "mrmtl":
+    if mode == "mrmtl":
         model = MrmtlModel(
             encoder1=load_part("encoder1"),
             encoder2=load_part("encoder2"),
             decoder1=load_part("decoder1"),
             decoder2=load_part("decoder2"),
-            loss_weight=manifest["training"]["loss_weight"],
+            loss_weight=loss_weight,
             nc1=arch.nc1,
             nc2=arch.nc2,
         )
-    elif manifest["mode"] == "srstl":
+    elif mode == "srstl":
         model = SrstlModel(
             encoder=load_part("encoder1"),
             decoder=load_part("decoder1"),
             nc1=arch.nc1,
         )
     else:
-        raise BundleError(f"unknown bundle mode {manifest['mode']!r}")
+        raise BundleError(f"unknown bundle mode {mode!r}")
     return model, manifest

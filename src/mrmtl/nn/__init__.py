@@ -15,10 +15,11 @@ from .loss import cross_entropy, cross_entropy_grad
 from .network import Network
 from .optim import Adam, NumericError
 from .gradcheck import GradCheckReport, gradcheck, relative_error
-from .checkpoint import load_checkpoint, read_header, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, read_header, save_checkpoint
 
 __all__ = [
     "Adam",
+    "CheckpointError",
     "Conv2D",
     "Dense",
     "Dropout",

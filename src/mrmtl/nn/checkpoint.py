@@ -36,40 +36,65 @@ def save_checkpoint(net: Network, path, metadata: dict | None = None) -> None:
             f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is truncated, malformed, or has trailing bytes."""
+
+
+def _parse_header(f, name: str) -> dict:
+    raw = f.read(4)
+    if len(raw) < 4:
+        raise CheckpointError(f"{name}: truncated checkpoint header")
+    (hlen,) = struct.unpack("<I", raw)
+    blob = f.read(hlen)
+    if len(blob) != hlen:
+        raise CheckpointError(f"{name}: truncated checkpoint header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{name}: checkpoint header is not valid JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{name}: checkpoint header must be a JSON object")
+    return header
+
+
 def read_header(path) -> dict:
+    path = Path(path)
     with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<I", f.read(4))
-        return json.loads(f.read(hlen).decode("utf-8"))
+        return _parse_header(f, path.name)
 
 
 def load_checkpoint(path) -> tuple[Network, dict]:
-    """Rebuild the network and its parameters; returns (net, header)."""
+    """Rebuild the network and its parameters; returns (net, header).
+
+    Raises CheckpointError unless the file is exactly one header followed by
+    the tensors it lists.
+    """
     path = Path(path)
     with open(path, "rb") as f:
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise ValueError(f"{path.name}: truncated checkpoint header")
-        (hlen,) = struct.unpack("<I", raw)
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        header = _parse_header(f, path.name)
         if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
+            raise CheckpointError(
                 f"{path.name}: unsupported format_version {header.get('format_version')}"
             )
-        arch = header["architecture"]
-        net = Network([layer_from_config(c) for c in arch["layers"]],
-                      tuple(arch["input_shape"]))
+        try:
+            arch = header["architecture"]
+            net = Network([layer_from_config(c) for c in arch["layers"]],
+                          tuple(arch["input_shape"]))
+            entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path.name}: malformed checkpoint header: {e}") from None
         params = dict(net.param_items())
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(n * 8)
-            if len(buf) != n * 8:
-                raise ValueError(f"{path.name}: truncated tensor {entry['name']}")
-            target = params[entry["name"]]
-            if target.shape != shape:
-                raise ValueError(
-                    f"{path.name}: tensor {entry['name']} shape {shape} does not "
-                    f"match architecture {target.shape}"
+        for name, shape in entries:
+            target = params.get(name)
+            if target is None or target.shape != shape:
+                raise CheckpointError(
+                    f"{path.name}: tensor {name} shape {shape} does not match "
+                    f"architecture {None if target is None else target.shape}"
                 )
+            buf = f.read(target.size * 8)
+            if len(buf) != target.size * 8:
+                raise CheckpointError(f"{path.name}: truncated tensor {name}")
             target[...] = np.frombuffer(buf, dtype="<f8").reshape(shape)
+        if f.read(1):
+            raise CheckpointError(f"{path.name}: trailing bytes after the last tensor")
     return net, header

@@ -2,7 +2,15 @@
 
 All arrays are float64. Layers operate on batched inputs: (B, C, H, W) for
 the convolutional stack, (B, D) after Flatten. Each layer caches what its
-backward pass needs when run in training mode.
+backward pass needs when run in training mode:
+
+- Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix and the
+  (B*H*W, filters) activated output. A convolution is one GEMM of the two
+  forward, and two GEMMs plus a channels-last col2im backward.
+- MaxPool2D: a boolean mask over the input marking the first maximum of
+  each window in row-major order.
+- Dropout: the scaled keep mask. Flatten: the input shape.
+- Dense: the input, the pre-activation and the output.
 """
 
 from __future__ import annotations
@@ -61,24 +69,31 @@ class Layer:
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, Hp, Wp) padded input -> (B, H*W, C*k*k) patch matrix."""
-    B, C, Hp, Wp = xp.shape
-    H, W = Hp - k + 1, Wp - k + 1
-    cols = np.empty((B, C, k, k, H, W), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + H, j : j + W]
-    return cols.reshape(B, C * k * k, H * W).transpose(0, 2, 1)
+    """(B, C, Hp, Wp) padded input -> contiguous (B*H*W, C*k*k) patch matrix.
+
+    Row b*H*W + h*W + w is the patch under output pixel (h, w) of image b,
+    flattened in (channel, kernel row, kernel column) order. One copy.
+    """
+    B, C = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    H, W = win.shape[2:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(B * H * W, C * k * k)
 
 
 def _col2im(dcols: np.ndarray, B: int, C: int, k: int, H: int, W: int) -> np.ndarray:
-    """Scatter-add patch gradients back to the padded input, inverse of _im2col."""
-    dc = dcols.transpose(0, 2, 1).reshape(B, C, k, k, H, W)
-    dxp = np.zeros((B, C, H + k - 1, W + k - 1), dtype=dcols.dtype)
-    for i in range(k):
-        for j in range(k):
-            dxp[:, :, i : i + H, j : j + W] += dc[:, :, i, j]
-    return dxp
+    """Scatter-add patch gradients back to the padded input, adjoint of _im2col.
+
+    Taps accumulate in (i, j) order into a zeroed channels-last buffer; the
+    result is its (B, C, H+k-1, W+k-1) view. Going one image at a time keeps
+    the strided tap reads in cache.
+    """
+    taps = dcols.reshape(B, H, W, C, k, k)
+    dxp = np.zeros((B, H + k - 1, W + k - 1, C), dtype=dcols.dtype)
+    for b in range(B):
+        for i in range(k):
+            for j in range(k):
+                dxp[b, i : i + H, j : j + W] += taps[b, ..., i, j]
+    return dxp.transpose(0, 3, 1, 2)
 
 
 class Conv2D(Layer):
@@ -118,35 +133,33 @@ class Conv2D(Layer):
         B, C, H, W = x.shape
         k = self.kernel_size
         p = (k - 1) // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = _im2col(xp, k)                      # (B, H*W, C*k*k)
-        wmat = self.params["w"].reshape(self.filters, -1).T
-        pre = cols.reshape(B * H * W, -1) @ wmat + self.params["b"]
-        pre = pre.reshape(B, H * W, self.filters)
+        cols = _im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), k)
+        out = cols @ self.params["w"].reshape(self.filters, -1).T
+        out += self.params["b"]
         if self.activation == "relu":
-            out = np.maximum(pre, 0.0)
-        else:
-            out = pre
+            np.maximum(out, 0.0, out=out)
         if train:
-            self._cache = (cols, pre, (B, C, H, W))
-        return out.transpose(0, 2, 1).reshape(B, self.filters, H, W)
+            self._cache = (cols, out, (B, C, H, W))
+        return out.reshape(B, H, W, self.filters).transpose(0, 3, 1, 2)
 
     def backward(self, dout):
         self._require_cache()
-        cols, pre, (B, C, H, W) = self._cache
+        cols, out, (B, C, H, W) = self._cache
         k = self.kernel_size
         p = (k - 1) // 2
-        dpre = dout.reshape(B, self.filters, H * W).transpose(0, 2, 1)
+        dpre = np.empty((B, H, W, self.filters))
         if self.activation == "relu":
-            dpre = dpre * (pre > 0.0)
-        flat_cols = cols.reshape(B * H * W, -1)
-        flat_dpre = dpre.reshape(B * H * W, self.filters)
+            # out > 0 exactly where the pre-activation was > 0
+            np.multiply(dout.transpose(0, 2, 3, 1), (out > 0.0).reshape(dpre.shape), out=dpre)
+        else:
+            dpre[...] = dout.transpose(0, 2, 3, 1)
+        dpre = dpre.reshape(B * H * W, self.filters)
         self.grads = {
-            "w": (flat_cols.T @ flat_dpre).T.reshape(self.params["w"].shape),
-            "b": flat_dpre.sum(axis=0),
+            "w": (cols.T @ dpre).T.reshape(self.params["w"].shape),
+            "b": dpre.sum(axis=0),
         }
-        dcols = flat_dpre @ self.params["w"].reshape(self.filters, -1)
-        dxp = _col2im(dcols.reshape(B, H * W, -1), B, C, k, H, W)
+        dcols = dpre @ self.params["w"].reshape(self.filters, -1)
+        dxp = _col2im(dcols, B, C, k, H, W)
         if p:
             return dxp[:, :, p:-p, p:-p]
         return dxp
@@ -181,24 +194,37 @@ class MaxPool2D(Layer):
     def forward(self, x, train, rng):
         p = self.pool_size
         B, C, H, W = x.shape
-        # Row-major window layout so argmax ties break to the lowest offset.
-        win = (x.reshape(B, C, H // p, p, W // p, p)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(B, C, H // p, W // p, p * p))
-        out = win.max(axis=-1)
+        win = x.reshape(B, C, H // p, p, W // p, p)
+        offsets = [(i, j) for i in range(p) for j in range(p)]  # row-major
+        # Elementwise maxima over the window taps: much faster than a
+        # reduction over the two short window axes, and max is exact.
+        out = win[:, :, :, 0, :, 0].copy()
+        for i, j in offsets[1:]:
+            np.maximum(out, win[:, :, :, i, :, j], out=out)
         if train:
-            self._cache = (win.argmax(axis=-1), (B, C, H, W))
+            # Mark the first maximum of each window, as argmax would: ties go
+            # to the lowest offset, and a NaN (which max propagates) beats
+            # every number.
+            mask = np.empty(win.shape, dtype=bool)
+            seen = np.zeros(out.shape, dtype=bool)
+            any_nan = bool(np.isnan(out).any())
+            for i, j in offsets:
+                tap = win[:, :, :, i, :, j]
+                hit = tap == out
+                if any_nan:
+                    hit |= np.isnan(tap)
+                hit &= ~seen
+                mask[:, :, :, i, :, j] = hit
+                seen |= hit
+            self._cache = mask
         return out
 
     def backward(self, dout):
         self._require_cache()
-        idx, (B, C, H, W) = self._cache
-        p = self.pool_size
-        dwin = np.zeros((B, C, H // p, W // p, p * p))
-        np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-        return (dwin.reshape(B, C, H // p, W // p, p, p)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(B, C, H, W))
+        mask = self._cache
+        B, C, Ho, p, Wo, _ = mask.shape
+        dx = np.where(mask, dout[:, :, :, None, :, None], 0.0)
+        return dx.reshape(B, C, Ho * p, Wo * p)
 
     def config(self):
         return {"kind": self.kind, "pool_size": self.pool_size}

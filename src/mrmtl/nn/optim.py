@@ -41,11 +41,12 @@ class Adam:
                     raise NumericError(f"non-finite gradient in {key}")
                 m = self._m.get(key)
                 if m is None:
-                    m = np.zeros_like(grad)
+                    m = self._m[key] = np.zeros_like(grad)
                     self._v[key] = np.zeros_like(grad)
                 v = self._v[key]
-                m = self.beta1 * m + (1.0 - self.beta1) * grad
-                v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-                self._m[key] = m
-                self._v[key] = v
+                # In place, same operations and order as beta*m + (1-beta)*g.
+                m *= self.beta1
+                m += (1.0 - self.beta1) * grad
+                v *= self.beta2
+                v += (1.0 - self.beta2) * grad * grad
                 params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -1,6 +1,7 @@
 """Command-line behavior: config merging, subcommand flows, exit codes."""
 
 import json
+import shutil
 import types
 
 import numpy as np
@@ -298,6 +299,42 @@ class TestEvaluateCommand:
     def test_exit_2_on_bad_delta(self, trained_run, tmp_path, capsys):
         code, _ = self._evaluate(trained_run, tmp_path, "--delta", "5")
         assert code == 2
+
+
+class TestCorruptBundle:
+    """Damaged bundle inputs are input problems: exit 2 with a clear message."""
+
+    def _evaluate_copy(self, trained_run, tmp_path, corrupt):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained_run["out"] / "mrmtl", bundle)
+        corrupt(bundle)
+        return cli.main(["evaluate", "--config", str(trained_run["config"]),
+                         "--bundle", str(bundle), "-o", str(tmp_path / "out"),
+                         "--delta", "0"])
+
+    def test_exit_2_on_truncated_checkpoint(self, trained_run, tmp_path, capsys):
+        def corrupt(bundle):
+            path = bundle / "encoder1.ckpt"
+            path.write_bytes(path.read_bytes()[:-16])
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        assert "truncated tensor" in capsys.readouterr().err
+
+    def test_exit_2_on_checkpoint_trailing_bytes(self, trained_run, tmp_path, capsys):
+        def corrupt(bundle):
+            path = bundle / "decoder2.ckpt"
+            path.write_bytes(path.read_bytes() + bytes(64))
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        assert "trailing bytes" in capsys.readouterr().err
+
+    def test_exit_2_on_corrupt_manifest(self, trained_run, tmp_path, capsys):
+        def corrupt(bundle):
+            path = bundle / "bundle.json"
+            path.write_text(path.read_text()[:-20])
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -1,7 +1,9 @@
 """Neural engine: layer semantics, gradients, optimizer, checkpoints.
 
 Forward passes are checked against naive loop implementations written here;
-gradients against central finite differences.
+gradients against central finite differences. Conv2D and MaxPool2D must also
+match, bit for bit, the reference im2col/col2im and argmax-pool layers kept
+below.
 """
 
 import numpy as np
@@ -35,6 +37,185 @@ def naive_maxpool(x, p):
         for j in range(W // p):
             out[:, :, i, j] = x[:, :, i * p:(i + 1) * p, j * p:(j + 1) * p].max(axis=(2, 3))
     return out
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references: the loop im2col/col2im convolution and the argmax
+# max-pool. The engine's layers must reproduce their outputs and gradients
+# exactly, so that a faster layout never changes a trained artifact.
+
+
+def ref_im2col(xp, k):
+    """(B, C, Hp, Wp) padded input -> (B, H*W, C*k*k) patch matrix (a view)."""
+    B, C, Hp, Wp = xp.shape
+    H, W = Hp - k + 1, Wp - k + 1
+    cols = np.empty((B, C, k, k, H, W), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + H, j:j + W]
+    return cols.reshape(B, C * k * k, H * W).transpose(0, 2, 1)
+
+
+def ref_col2im(dcols, B, C, k, H, W):
+    dc = dcols.transpose(0, 2, 1).reshape(B, C, k, k, H, W)
+    dxp = np.zeros((B, C, H + k - 1, W + k - 1), dtype=dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + H, j:j + W] += dc[:, :, i, j]
+    return dxp
+
+
+def ref_conv_forward(self, x, train, rng):
+    B, C, H, W = x.shape
+    k = self.kernel_size
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = ref_im2col(xp, k)
+    wmat = self.params["w"].reshape(self.filters, -1).T
+    pre = cols.reshape(B * H * W, -1) @ wmat + self.params["b"]
+    pre = pre.reshape(B, H * W, self.filters)
+    out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
+    if train:
+        self._cache = (cols, pre, (B, C, H, W))
+    return out.transpose(0, 2, 1).reshape(B, self.filters, H, W)
+
+
+def ref_conv_backward(self, dout):
+    cols, pre, (B, C, H, W) = self._cache
+    k = self.kernel_size
+    p = (k - 1) // 2
+    dpre = dout.reshape(B, self.filters, H * W).transpose(0, 2, 1)
+    if self.activation == "relu":
+        dpre = dpre * (pre > 0.0)
+    flat_cols = cols.reshape(B * H * W, -1)
+    flat_dpre = dpre.reshape(B * H * W, self.filters)
+    self.grads = {
+        "w": (flat_cols.T @ flat_dpre).T.reshape(self.params["w"].shape),
+        "b": flat_dpre.sum(axis=0),
+    }
+    dcols = flat_dpre @ self.params["w"].reshape(self.filters, -1)
+    dxp = ref_col2im(dcols.reshape(B, H * W, -1), B, C, k, H, W)
+    return dxp[:, :, p:-p, p:-p] if p else dxp
+
+
+def ref_pool_forward(self, x, train, rng):
+    p = self.pool_size
+    B, C, H, W = x.shape
+    win = (x.reshape(B, C, H // p, p, W // p, p)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(B, C, H // p, W // p, p * p))
+    if train:
+        self._cache = (win.argmax(axis=-1), (B, C, H, W))
+    return win.max(axis=-1)
+
+
+def ref_pool_backward(self, dout):
+    idx, (B, C, H, W) = self._cache
+    p = self.pool_size
+    dwin = np.zeros((B, C, H // p, W // p, p * p))
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+    return (dwin.reshape(B, C, H // p, W // p, p, p)
+                .transpose(0, 1, 2, 4, 3, 5)
+                .reshape(B, C, H, W))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape and bytes: also tells -0.0 from 0.0 and keeps NaN payloads."""
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+def _assert_same_pass(layer, ref_layer, fwd, bwd, x, dout):
+    """Forward (both modes) and backward of both layers agree bit for bit."""
+    want = fwd(ref_layer, x, True, None)
+    assert _same_bits(layer.forward(x, True, None), want)
+    assert _same_bits(layer.backward(dout), bwd(ref_layer, dout))
+    for name in layer.params:
+        assert _same_bits(layer.grads[name], ref_layer.grads[name]), name
+    assert _same_bits(layer.forward(x, False, None), want)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+@pytest.mark.parametrize("inputs", ["normal", "post_relu", "dead_filter"])
+def test_conv_bitwise_matches_reference(k, activation, inputs):
+    rng = np.random.default_rng([k, len(activation), len(inputs)])
+    layer = nn.Conv2D(3, 5, k, activation, rng=np.random.default_rng(1))
+    ref_layer = nn.Conv2D(3, 5, k, activation, rng=np.random.default_rng(1))
+    bias = rng.normal(size=5)
+    x = rng.normal(size=(4, 3, 6, 7))
+    dout = rng.normal(size=(4, 5, 6, 7))
+    if inputs != "normal":
+        x = np.maximum(x, 0.0)
+    if inputs == "dead_filter":
+        bias[0] = -1e3  # a dead unit: every gradient through filter 0 is masked
+    layer.params["b"][...] = ref_layer.params["b"][...] = bias
+    _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x, dout)
+
+
+def test_conv_bitwise_matches_reference_on_encoder_shape():
+    rng = np.random.default_rng(8)
+    layer = nn.Conv2D(16, 32, 3, "relu", rng=np.random.default_rng(2))
+    ref_layer = nn.Conv2D(16, 32, 3, "relu", rng=np.random.default_rng(2))
+    x = np.maximum(rng.normal(size=(8, 16, 16, 16)), 0.0)
+    dout = rng.normal(size=(8, 32, 16, 16))
+    _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x, dout)
+
+
+def _pool_inputs(p, rng):
+    shape = (3, 4, 2 * p, 3 * p)
+    dense = rng.normal(size=shape)
+    relu = np.maximum(rng.normal(size=shape), 0.0)   # many all-zero windows
+    coarse = rng.integers(0, 2, size=shape).astype(float)  # ties at other values
+    nan = dense.copy()
+    nan[0, 0, 0, 1] = np.nan                          # not at offset 0
+    nan[1, 2, p, p] = np.nan
+    nan[2, 3, p - 1:, p - 1:] = np.nan                # several NaN in one window
+    return {"dense": dense, "relu": relu, "coarse": coarse, "nan": nan}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["dense", "relu", "coarse", "nan"])
+def test_maxpool_bitwise_matches_reference(p, kind):
+    rng = np.random.default_rng([p, 31])
+    x = _pool_inputs(p, rng)[kind]
+    dout = rng.normal(size=(3, 4, 2, 3))
+    _assert_same_pass(nn.MaxPool2D(p), nn.MaxPool2D(p), ref_pool_forward,
+                      ref_pool_backward, x, dout)
+
+
+def test_maxpool_nan_reaches_output_and_gradient():
+    layer = nn.MaxPool2D(2)
+    x = np.array([[1.0, np.nan], [3.0, np.nan]]).reshape(1, 1, 2, 2)
+    assert np.isnan(layer.forward(x, True, None)).all()
+    dx = layer.backward(np.full((1, 1, 1, 1), 5.0))
+    assert dx.reshape(-1).tolist() == [0.0, 5.0, 0.0, 0.0]
+
+
+def test_train_steps_match_reference_layers(monkeypatch):
+    from mrmtl.channel import ChannelConfig
+    from mrmtl.dataset import make_synthetic
+    from mrmtl.models import ArchitectureConfig, TrainConfig, train_mrmtl
+
+    # 2 classes x 4 training images at batch size 4: two joint steps
+    dataset = make_synthetic(num_classes=2, per_class=5, seed=3)
+    arch = ArchitectureConfig(nc=2, num_classes=2)
+    channel = ChannelConfig(kind="awgn", snr_db=10.0, seed=0)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=4)
+
+    model, log = train_mrmtl(dataset, arch, channel, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(nn.Conv2D, "forward", ref_conv_forward)
+        m.setattr(nn.Conv2D, "backward", ref_conv_backward)
+        m.setattr(nn.MaxPool2D, "forward", ref_pool_forward)
+        m.setattr(nn.MaxPool2D, "backward", ref_pool_backward)
+        ref_model, ref_log = train_mrmtl(dataset, arch, channel, cfg)
+
+    assert log == ref_log
+    for part in ("encoder1", "encoder2", "decoder1", "decoder2"):
+        for (name, a), (_, b) in zip(getattr(model, part).param_items(),
+                                     getattr(ref_model, part).param_items()):
+            assert a.tobytes() == b.tobytes(), f"{part}.{name}"
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +454,27 @@ def test_adam_first_step_magnitude():
     assert abs(delta + lr) < 1e-8 * lr + 1e-12
 
 
+def test_adam_in_place_moments_match_out_of_place_formula():
+    rng = np.random.default_rng(7)
+    net = nn.Network([nn.Dense(6, 5, "relu", rng=rng), nn.Dense(5, 3, "linear", rng=rng)],
+                     (6,))
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    opt = nn.Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    want = {n: p.copy() for n, p in net.param_items()}
+    m = {n: np.zeros_like(p) for n, p in want.items()}
+    v = {n: np.zeros_like(p) for n, p in want.items()}
+    for t in range(1, 7):
+        for layer in net.layers:
+            layer.grads = {k: rng.normal(size=p.shape) for k, p in layer.params.items()}
+        for n, g in net.grad_items():
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * g * g
+            want[n] -= lr * (m[n] / (1.0 - b1 ** t)) / (np.sqrt(v[n] / (1.0 - b2 ** t)) + eps)
+        opt.step(net)
+        for n, p in net.param_items():
+            assert np.array_equal(p, want[n]), (t, n)
+
+
 def test_adam_rejects_non_finite_gradient():
     net, layer = _one_param_layer()
     layer.grads = {"w": np.array([[np.nan]]), "b": np.zeros(1)}
@@ -354,6 +556,24 @@ def test_checkpoint_truncation_detected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(ValueError, match="truncated"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    net = _tiny_net(seed=13)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(net, path)
+    path.write_bytes(path.read_bytes() + bytes(64))
+    with pytest.raises(nn.CheckpointError, match="trailing bytes"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_truncated_header_rejected(tmp_path):
+    net = _tiny_net(seed=13)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(net, path)
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(nn.CheckpointError, match="truncated checkpoint header"):
         nn.load_checkpoint(path)
 
 
