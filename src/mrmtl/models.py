@@ -264,6 +264,17 @@ def mrmtl_loss_and_grads(model: MrmtlModel, images, labels, draw1: ChannelDraw,
 # training loops
 
 
+def _release_gradients(nets) -> None:
+    """Drop the last step's gradients, so a trained model holds parameters only.
+
+    Nothing reads them after training; kept, they pin their memory, and with
+    it heap pages freed around them, for as long as the model lives.
+    """
+    for net in nets:
+        for layer in net.layers:
+            layer.grads = {}
+
+
 def _check_finite(loss: float, epoch: int) -> None:
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite loss at epoch {epoch}")
@@ -323,6 +334,7 @@ def train_srstl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: Channel
             "train_accuracy": correct / len(dataset.train),
             "test_accuracy": _srstl_accuracy(model, dataset.test, channel_cfg, rng),
         })
+    _release_gradients([model.encoder, model.decoder])
     return model, log
 
 
@@ -376,6 +388,7 @@ def train_mrmtl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: Channel
             "test_accuracy_round1": test1,
             "test_accuracy_round2": test2,
         })
+    _release_gradients(nets)
     return model, log
 
 
@@ -499,22 +512,29 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
         net, _ = nn.load_checkpoint(path)
         return net
 
-    if mode == "mrmtl":
-        model = MrmtlModel(
-            encoder1=load_part("encoder1"),
-            encoder2=load_part("encoder2"),
-            decoder1=load_part("decoder1"),
-            decoder2=load_part("decoder2"),
-            loss_weight=loss_weight,
-            nc1=arch.nc1,
-            nc2=arch.nc2,
-        )
-    elif mode == "srstl":
-        model = SrstlModel(
-            encoder=load_part("encoder1"),
-            decoder=load_part("decoder1"),
-            nc1=arch.nc1,
-        )
-    else:
+    if mode not in ("mrmtl", "srstl"):
         raise BundleError(f"unknown bundle mode {mode!r}")
+    parts = ["encoder1", "decoder1"] + (["encoder2", "decoder2"] if mode == "mrmtl" else [])
+    nets = {name: load_part(name) for name in parts}
+    # (part, "input"/"output", width the manifest implies, its source)
+    expected = [("encoder1", "output", arch.nc1, "nc1"),
+                ("decoder1", "input", arch.nc1, "nc1"),
+                ("decoder1", "output", arch.num_classes, "num_classes")]
+    if mode == "mrmtl":
+        expected += [("encoder2", "output", arch.nc2, "nc2"),
+                     ("decoder2", "input", arch.nc1 + arch.nc2, "nc1+nc2"),
+                     ("decoder2", "output", arch.num_classes, "num_classes")]
+    for name, side, want, source in expected:
+        net = nets[name]
+        got = (net.input_shape if side == "input" else net.output_shape)[0]
+        if got != want:
+            raise BundleError(
+                f"{name}.ckpt has {side} width {got}, but {manifest_path} "
+                f"gives {source}={want}"
+            )
+
+    if mode == "mrmtl":
+        model = MrmtlModel(**nets, loss_weight=loss_weight, nc1=arch.nc1, nc2=arch.nc2)
+    else:
+        model = SrstlModel(encoder=nets["encoder1"], decoder=nets["decoder1"], nc1=arch.nc1)
     return model, manifest

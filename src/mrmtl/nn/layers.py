@@ -4,16 +4,23 @@ All arrays are float64. Layers operate on batched inputs: (B, C, H, W) for
 the convolutional stack, (B, D) after Flatten. Each layer caches what its
 backward pass needs when run in training mode:
 
-- Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix and the
-  (B*H*W, filters) activated output. A convolution is one GEMM of the two
-  forward, and two GEMMs plus a channels-last col2im backward.
+- Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix, gathered from
+  the padded input through a cached read-only index, and for ReLU the
+  boolean (B*H*W, filters) mask of positive outputs. A convolution is one
+  GEMM forward, and two GEMMs plus a channels-last col2im backward.
 - MaxPool2D: a boolean mask over the input marking the first maximum of
   each window in row-major order.
 - Dropout: the scaled keep mask. Flatten: the input shape.
 - Dense: the input, the pre-activation and the output.
+
+A cache lives until the owning network's next forward pass, which drops
+every layer's cache before it starts; backward reads it without consuming
+it, so it can be repeated.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -68,16 +75,35 @@ class Layer:
             )
 
 
+@functools.lru_cache(maxsize=64)
+def _im2col_index(C: int, Hp: int, Wp: int, k: int) -> np.ndarray:
+    """Read-only flat offsets of every patch entry into one padded image.
+
+    idx[h, w, c, i, j] = (c*Hp + h + i)*Wp + w + j, raveled: the patch under
+    output pixel (h, w) in (channel, kernel row, kernel column) order. Built
+    once per shape and shared, so it must never be written; the encoder's six
+    shapes take about 5 MB.
+    """
+    H, W = Hp - k + 1, Wp - k + 1
+    h = np.arange(H).reshape(H, 1, 1, 1, 1)
+    w = np.arange(W).reshape(1, W, 1, 1, 1)
+    c = np.arange(C).reshape(1, 1, C, 1, 1)
+    i = np.arange(k).reshape(1, 1, 1, k, 1)
+    j = np.arange(k).reshape(1, 1, 1, 1, k)
+    idx = ((c * Hp + h + i) * Wp + w + j).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
     """(B, C, Hp, Wp) padded input -> contiguous (B*H*W, C*k*k) patch matrix.
 
     Row b*H*W + h*W + w is the patch under output pixel (h, w) of image b,
-    flattened in (channel, kernel row, kernel column) order. One copy.
+    flattened in (channel, kernel row, kernel column) order. One gather.
     """
-    B, C = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    H, W = win.shape[2:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(B * H * W, C * k * k)
+    B, C, Hp, Wp = xp.shape
+    idx = _im2col_index(C, Hp, Wp, k)
+    return np.take(xp.reshape(B, -1), idx, axis=1).reshape(-1, C * k * k)
 
 
 def _col2im(dcols: np.ndarray, B: int, C: int, k: int, H: int, W: int) -> np.ndarray:
@@ -139,18 +165,19 @@ class Conv2D(Layer):
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
         if train:
-            self._cache = (cols, out, (B, C, H, W))
+            # out > 0 exactly where the pre-activation was > 0
+            mask = out > 0.0 if self.activation == "relu" else None
+            self._cache = (cols, mask, (B, C, H, W))
         return out.reshape(B, H, W, self.filters).transpose(0, 3, 1, 2)
 
     def backward(self, dout):
         self._require_cache()
-        cols, out, (B, C, H, W) = self._cache
+        cols, mask, (B, C, H, W) = self._cache
         k = self.kernel_size
         p = (k - 1) // 2
         dpre = np.empty((B, H, W, self.filters))
-        if self.activation == "relu":
-            # out > 0 exactly where the pre-activation was > 0
-            np.multiply(dout.transpose(0, 2, 3, 1), (out > 0.0).reshape(dpre.shape), out=dpre)
+        if mask is not None:
+            np.multiply(dout.transpose(0, 2, 3, 1), mask.reshape(dpre.shape), out=dpre)
         else:
             dpre[...] = dout.transpose(0, 2, 3, 1)
         dpre = dpre.reshape(B * H * W, self.filters)

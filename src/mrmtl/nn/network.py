@@ -13,7 +13,9 @@ class Network:
     Shape compatibility between consecutive layers is checked once at
     construction. Forward in inference mode is a pure function of
     (parameters, input); training mode records per-layer caches and enables
-    dropout, which draws from the rng passed to forward().
+    dropout, which draws from the rng passed to forward(). Every forward
+    first drops the caches of the previous pass, so at most one generation
+    is held, and none after an inference pass.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...]):
@@ -35,6 +37,9 @@ class Network:
                 f"network expects input shape (B, {', '.join(map(str, self.input_shape))}), "
                 f"got {x.shape}"
             )
+        self._forward_recorded = False
+        for layer in self.layers:
+            layer._cache = None
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x, train, rng)

@@ -44,9 +44,21 @@ class Adam:
                     m = self._m[key] = np.zeros_like(grad)
                     self._v[key] = np.zeros_like(grad)
                 v = self._v[key]
-                # In place, same operations and order as beta*m + (1-beta)*g.
+                # In place, same operations and order as
+                #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+                #   p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+                # with two temporaries per parameter.
+                a = (1.0 - self.beta1) * grad
                 m *= self.beta1
-                m += (1.0 - self.beta1) * grad
+                m += a
+                np.multiply(1.0 - self.beta2, grad, out=a)
+                a *= grad
                 v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                v += a
+                np.divide(m, bc1, out=a)
+                np.multiply(self.lr, a, out=a)
+                b = v / bc2
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                params[name] -= a

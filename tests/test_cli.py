@@ -336,6 +336,18 @@ class TestCorruptBundle:
         assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_exit_2_on_manifest_contradicting_checkpoints(self, trained_run, tmp_path,
+                                                          capsys):
+        def corrupt(bundle):
+            path = bundle / "bundle.json"
+            manifest = json.loads(path.read_text())
+            manifest["architecture"]["nc1"] += 2
+            path.write_text(json.dumps(manifest))
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        err = capsys.readouterr().err
+        assert "encoder1.ckpt has output width" in err and "nc1=" in err
+
 
 class TestSweepCommand:
     def test_sweep_rows_and_charts(self, trained_run, tmp_path, capsys):

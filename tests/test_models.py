@@ -344,6 +344,30 @@ class TestTraining:
                         TrainConfig(epochs=1, batch_size=16))
 
 
+class TestCacheLifetime:
+    """Training ends with an inference pass, which drops every layer cache,
+    and releases the last step's gradients."""
+
+    def _setup(self):
+        dataset = make_synthetic(num_classes=2, per_class=5, seed=3)
+        arch = ArchitectureConfig(nc=2, num_classes=2)
+        return dataset, arch, ChannelConfig(seed=0), TrainConfig(epochs=1, batch_size=4)
+
+    @staticmethod
+    def _cached(nets):
+        return [(n, i) for n, net in enumerate(nets) for i, layer in enumerate(net.layers)
+                if layer._cache is not None or layer.grads]
+
+    def test_train_mrmtl_returns_model_without_training_state(self):
+        model, _ = train_mrmtl(*self._setup())
+        assert self._cached([model.encoder1, model.encoder2,
+                             model.decoder1, model.decoder2]) == []
+
+    def test_train_srstl_returns_model_without_training_state(self):
+        model, _ = train_srstl(*self._setup())
+        assert self._cached([model.encoder, model.decoder]) == []
+
+
 class TestBundles:
     def _arch(self):
         return ArchitectureConfig(nc=4)
@@ -404,6 +428,35 @@ class TestBundles:
         manifest["format_version"] = 42
         (tmp_path / "bundle.json").write_text(json.dumps(manifest))
         with pytest.raises(BundleError, match="version"):
+            load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("key, value, part", [
+        ("nc1", 6, "encoder1"), ("nc2", 6, "encoder2"), ("num_classes", 4, "decoder1"),
+    ])
+    def test_manifest_contradicting_checkpoints(self, tmp_path, key, value, part):
+        import json
+
+        save_bundle(small_mrmtl(seed=11), tmp_path, self._arch(), ChannelConfig(seed=0),
+                    TrainConfig(epochs=0), "fp")
+        manifest = json.loads((tmp_path / "bundle.json").read_text())
+        manifest["architecture"][key] = value
+        (tmp_path / "bundle.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match=f"{part}.ckpt .*{key}={value}"):
+            load_bundle(tmp_path)
+
+    def test_srstl_checks_only_round1_pair(self, tmp_path):
+        import json
+
+        save_bundle(small_srstl(seed=12), tmp_path, self._arch(), ChannelConfig(seed=0),
+                    TrainConfig(epochs=0), "fp")
+        manifest = json.loads((tmp_path / "bundle.json").read_text())
+        manifest["architecture"]["nc2"] = 9  # no round-2 part to contradict
+        (tmp_path / "bundle.json").write_text(json.dumps(manifest))
+        loaded, _ = load_bundle(tmp_path)
+        assert isinstance(loaded, SrstlModel)
+        manifest["architecture"]["nc1"] = 9
+        (tmp_path / "bundle.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="encoder1.ckpt .*nc1=9"):
             load_bundle(tmp_path)
 
     def test_unknown_mode(self, tmp_path):

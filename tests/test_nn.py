@@ -162,6 +162,29 @@ def test_conv_bitwise_matches_reference_on_encoder_shape():
     _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x, dout)
 
 
+def test_conv_bitwise_matches_reference_across_alternating_shapes():
+    # One process, shapes alternating k 3 -> 5 -> 3, channel counts and a
+    # non-square image: each (C, Hp, Wp, k) gets its own read-only index.
+    from mrmtl.nn.layers import _im2col, _im2col_index
+
+    rng = np.random.default_rng(12)
+    seen = {}
+    for C, H, W, k in [(3, 6, 7, 3), (4, 6, 7, 5), (2, 9, 4, 3), (3, 6, 7, 3)]:
+        p = (k - 1) // 2
+        x = rng.normal(size=(2, C, H, W))
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        assert _same_bits(_im2col(xp, k), ref_im2col(xp, k).reshape(-1, C * k * k))
+        idx = _im2col_index(C, H + 2 * p, W + 2 * p, k)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 1
+        assert seen.setdefault((C, H, W, k), idx) is idx  # built once per shape
+        layer = nn.Conv2D(C, 3, k, "relu", rng=np.random.default_rng(k))
+        ref_layer = nn.Conv2D(C, 3, k, "relu", rng=np.random.default_rng(k))
+        _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x,
+                          rng.normal(size=(2, 3, H, W)))
+
+
 def _pool_inputs(p, rng):
     shape = (3, 4, 2 * p, 3 * p)
     dense = rng.normal(size=shape)
@@ -346,6 +369,34 @@ def test_backward_requires_training_forward():
     net.forward(np.zeros((1, 2, 4, 4)), train=False)
     with pytest.raises(RuntimeError, match="training forward"):
         net.backward(np.zeros((1, 5)))
+
+
+def _cached_layers(net):
+    return [i for i, layer in enumerate(net.layers) if layer._cache is not None]
+
+
+def test_inference_forward_drops_training_caches():
+    net = _tiny_net()
+    x = np.random.default_rng(3).normal(size=(3, 2, 4, 4))
+    net.forward(x, train=True, rng=np.random.default_rng(0))
+    assert _cached_layers(net) == list(range(len(net.layers)))
+    net.forward(x, train=False)
+    assert _cached_layers(net) == []
+    with pytest.raises(RuntimeError, match="training forward"):
+        net.backward(np.zeros((3, 5)))
+
+
+def test_backward_is_repeatable_after_one_training_forward():
+    net = _tiny_net()
+    x = np.random.default_rng(4).normal(size=(3, 2, 4, 4))
+    dout = np.random.default_rng(5).normal(size=(3, 5))
+    net.forward(x, train=True, rng=np.random.default_rng(0))
+    first = net.backward(dout)
+    first_grads = [g.copy() for _, g in net.grad_items()]
+    second = net.backward(dout)
+    assert _same_bits(first, second)
+    for a, (name, b) in zip(first_grads, net.grad_items()):
+        assert _same_bits(a, b), name
 
 
 def test_inference_forward_is_deterministic():
