@@ -1,9 +1,10 @@
 """What the channel does to a block of symbols.
 
-Walks through the transmit path on its own, without any networks: power
-normalization, the frozen per-block channel draw, and the received symbols.
-Then checks the advertised statistics the hard way, by averaging a million
-draws and comparing against the closed-form values.
+Walks through the transmit path the system uses, without any networks:
+power normalization (power_norm_forward), the frozen per-block channel
+draw (draw_channel), and the received symbols (apply_channel). Then checks
+the advertised statistics the hard way, by averaging a million draws and
+comparing against the closed-form values.
 
 Run:  python3 demos/01_channel_statistics.py
 """
@@ -15,29 +16,30 @@ from mrmtl.channel import (
     apply_channel,
     draw_channel,
     noise_variance,
-    normalize_power,
-    transmit,
+    power_norm_forward,
 )
 
 rng = np.random.default_rng(1)
 
 # --- power normalization -----------------------------------------------
 # Raw encoder outputs can have any scale. The normalizer rescales each
-# block so its mean squared symbol is one, which is what makes the SNR
-# setting meaningful.
-raw = rng.normal(0.0, 3.0, size=8)
-block = normalize_power(raw)
-print("raw block:       ", np.round(raw, 3))
-print("normalized:      ", np.round(block.symbols, 3))
-print("mean square:     ", float(np.mean(block.symbols**2)))
+# block (one row) so its mean squared symbol is one, which is what makes
+# the SNR setting meaningful.
+raw = rng.normal(0.0, 3.0, size=(1, 8))
+s, _ = power_norm_forward(raw)
+print("raw block:       ", np.round(raw[0], 3))
+print("normalized:      ", np.round(s[0], 3))
+print("mean square:     ", float(np.mean(s**2)))
 print()
 
 # --- one transmission --------------------------------------------------
+# Every block gets its own draw: one gain and one noise vector.
 cfg = ChannelConfig(kind="rayleigh", snr_db=10.0, seed=0)
-received = transmit(block, cfg, rng)
+draw = draw_channel(cfg, 1, s.shape[1], rng)
+received = apply_channel(s, draw)
 print(f"channel:          {cfg.kind} at {cfg.snr_db} dB")
-print("received:        ", np.round(received.symbols, 3))
-print("round index:     ", received.round_index)
+print("gain:            ", np.round(draw.gain, 3))
+print("received:        ", np.round(received[0], 3))
 print()
 
 # --- noise variance vs the closed form ---------------------------------
@@ -62,7 +64,7 @@ print(f"rayleigh E[h]:    {float(np.mean(h)):.4f}  "
 print()
 
 # --- a received block is exactly gain * signal + noise ------------------
-s = normalize_power(rng.normal(size=16)).symbols[None, :]
+s, _ = power_norm_forward(rng.normal(size=(1, 16)))
 ray_draw = draw_channel(ChannelConfig(kind="rayleigh", snr_db=10.0, seed=0),
                         1, 16, np.random.default_rng(7))
 r = apply_channel(s, ray_draw)

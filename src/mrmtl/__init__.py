@@ -20,19 +20,13 @@ from .analysis import (
 from .channel import (
     ChannelConfig,
     ChannelDraw,
-    EncodedBlock,
-    ReceivedBlock,
     apply_channel,
     draw_channel,
     noise_variance,
-    normalize_power,
-    normalize_power_batch,
-    transmit,
 )
 from .dataset import (
     CifarFormatError,
     Dataset,
-    Sample,
     Split,
     batches,
     dataset_fingerprint,
@@ -49,12 +43,9 @@ from .models import (
     TrainingError,
     build_decoder,
     build_encoder,
-    infer_round1,
-    infer_round2,
     load_bundle,
     mrmtl_loss,
     save_bundle,
-    srstl_loss,
     train_mrmtl,
     train_srstl,
 )
@@ -82,18 +73,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchitectureConfig", "BundleError", "CalibrationError", "CalibrationStats",
     "ChannelConfig", "ChannelDraw", "CifarFormatError", "ConfusionMatrix",
-    "Dataset", "DecoderOutput", "EncodedBlock", "MrmtlModel", "ProtocolTrace",
-    "ReceivedBlock", "RoundCache", "RunReport", "Sample", "Split", "SrstlModel",
-    "TrainConfig", "TrainingError",
+    "Dataset", "DecoderOutput", "MrmtlModel", "ProtocolTrace", "RoundCache",
+    "RunReport", "Split", "SrstlModel", "TrainConfig", "TrainingError",
     "accuracy_decomposition", "apply_channel", "apply_threshold", "average_delay",
     "batches", "build_decoder", "build_encoder", "build_report",
     "calibrate_threshold", "compare_srstl_mrmtl", "confusion",
     "dataset_fingerprint", "default_delta_grid", "delay_decomposition",
     "draw_channel", "emit_report", "escalation_rate", "evaluate_rounds",
-    "infer_round1", "infer_round2", "load_bundle", "load_cifar10",
-    "make_synthetic", "mrmtl_loss", "noise_variance", "normalize_power",
-    "normalize_power_batch", "read_sweep_csv", "read_traces_csv", "run_protocol",
-    "save_bundle", "srstl_loss", "sweep_threshold", "task_accuracy",
-    "threshold_midpoint", "train_mrmtl", "train_srstl", "transmit",
-    "write_sweep_csv", "write_traces_csv",
+    "load_bundle", "load_cifar10", "make_synthetic", "mrmtl_loss",
+    "noise_variance", "read_sweep_csv", "read_traces_csv",
+    "run_protocol", "save_bundle", "sweep_threshold", "task_accuracy",
+    "threshold_midpoint", "train_mrmtl", "train_srstl", "write_sweep_csv",
+    "write_traces_csv",
 ]

@@ -215,6 +215,8 @@ def read_traces_csv(path) -> list[ProtocolTrace]:
         if reader.fieldnames != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace columns: {reader.fieldnames}")
         for row in reader:
+            if row["escalated"] not in ("0", "1"):
+                raise ValueError(f"line {reader.line_num}: escalated must be 0 or 1")
             escalated = row["escalated"] == "1"
             conf = float(row["round1_conf"])
             r1 = DecoderOutput(probs=None, predicted=int(row["round1_pred"]),

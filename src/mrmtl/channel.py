@@ -38,22 +38,6 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
-class EncodedBlock:
-    """Power-normalized encoder output for one round."""
-
-    symbols: np.ndarray
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """Post-channel symbols for one round."""
-
-    symbols: np.ndarray
-    round_index: int = 1
-
-
-@dataclass(frozen=True)
 class ChannelDraw:
     """One realization of (gain, noise) for a batch of blocks."""
 
@@ -65,28 +49,11 @@ def noise_variance(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 10.0))
 
 
-def normalize_power(raw) -> EncodedBlock:
-    """Scale a symbol vector to unit mean square: raw * sqrt(L / (sum raw^2 + eps)).
-
-    An (almost) all-zero block cannot be normalized; it comes back
-    essentially unchanged and flagged degenerate.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.size == 0:
-        raise ValueError("cannot normalize an empty block")
-    out = raw * np.sqrt(raw.size / (np.sum(raw * raw) + NORM_EPS))
-    degenerate = abs(float(np.mean(out * out)) - 1.0) > 1e-6
-    return EncodedBlock(symbols=out, degenerate=degenerate)
-
-
-def normalize_power_batch(raw: np.ndarray) -> np.ndarray:
-    """Row-wise power normalization for (B, L) encoder outputs."""
-    ss = np.sum(raw * raw, axis=1, keepdims=True)
-    return raw * np.sqrt(raw.shape[1] / (ss + NORM_EPS))
-
-
 def power_norm_forward(raw: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """normalize_power_batch plus the cache its backward pass needs."""
+    """Scale each row of (B, L) encoder outputs to unit mean square,
+    raw * sqrt(L / (sum raw^2 + eps)), and return the cache the backward pass
+    needs. An (almost) all-zero row cannot be normalized and stays near zero.
+    """
     ss = np.sum(raw * raw, axis=1, keepdims=True) + NORM_EPS
     scale = np.sqrt(raw.shape[1] / ss)
     out = raw * scale
@@ -123,9 +90,3 @@ def apply_channel(symbols: np.ndarray, draw: ChannelDraw) -> np.ndarray:
     """r = h * s + n, rows are blocks. Differentiable in s: dr/ds = h."""
     return draw.gain[:, None] * symbols + draw.noise
 
-
-def transmit(block: EncodedBlock, cfg: ChannelConfig, rng, round_index: int = 1) -> ReceivedBlock:
-    """Send one normalized block through a fresh channel realization."""
-    s = block.symbols
-    draw = draw_channel(cfg, 1, s.size, rng)
-    return ReceivedBlock(symbols=apply_channel(s[None, :], draw)[0], round_index=round_index)

@@ -166,13 +166,25 @@ def _grid_values(grid: dict) -> list[float]:
     return [round(start + i * step, 10) for i in range(count + 1)]
 
 
+def _int_field(section: dict, key: str, default: int) -> int:
+    value = section.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def validate_config(cfg: dict) -> None:
     """Fail fast on anything malformed, before any side effect."""
-    ds = cfg.get("dataset", {})
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(cfg.get(section), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
+    ds = cfg["dataset"]
     kind = ds.get("kind")
     if kind == "synthetic":
-        if int(ds.get("num_classes", 10)) < 2 or int(ds.get("per_class", 1)) < 1:
+        if _int_field(ds, "num_classes", 10) < 2 or _int_field(ds, "per_class", 1) < 1:
             raise ConfigError("synthetic dataset needs num_classes >= 2, per_class >= 1")
+        _int_field(ds, "seed", 0)
     elif kind == "cifar10":
         if _cifar_path(cfg) is None:
             raise ConfigError(
@@ -187,17 +199,17 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(str(e)) from None
     _parse_delta(cfg["protocol"].get("delta", "auto"))
     _grid_values(cfg["protocol"]["grid"])
-    if int(cfg["protocol"].get("num_bins", 50)) < 1:
+    if _int_field(cfg["protocol"], "num_bins", 50) < 1:
         raise ConfigError("num_bins must be >= 1")
     if cfg["protocol"].get("calibration_split", "test") not in ("test", "train"):
         raise ConfigError("calibration_split must be 'test' or 'train'")
-    if not cfg.get("output_dir"):
-        raise ConfigError("output_dir must be set")
+    if not cfg.get("output_dir") or not isinstance(cfg["output_dir"], str):
+        raise ConfigError("output_dir must be set to a path")
 
 
 def _cifar_path(cfg: dict):
     path = cfg["dataset"].get("path") or os.environ.get(DATA_DIR_ENV)
-    if path and Path(path).is_dir():
+    if path and isinstance(path, str) and Path(path).is_dir():
         return Path(path)
     return None
 
@@ -232,12 +244,6 @@ def _load_dataset(cfg: dict) -> Dataset:
                               per_class=int(ds.get("per_class", 40)),
                               seed=int(ds.get("seed", 0)))
     return load_cifar10(_cifar_path(cfg))
-
-
-def _workers(cfg: dict, args) -> int:
-    if cfg["training"].get("deterministic", True):
-        return 1
-    return max(1, int(getattr(args, "threads", 1) or 1))
 
 
 def _require_bundle_dir(args, cfg: dict) -> Path:
@@ -339,7 +345,6 @@ def cmd_evaluate(args) -> int:
     model, manifest, _ = _load_mrmtl_bundle(args, cfg)
     dataset = _load_dataset(cfg)
     channel_cfg = ChannelConfig.from_dict(cfg["channel"])
-    workers = _workers(cfg, args)
 
     if dataset_fingerprint(dataset) != manifest.get("dataset_fingerprint"):
         print("note: evaluation dataset differs from the bundle's training data")
@@ -355,7 +360,7 @@ def cmd_evaluate(args) -> int:
         _print_calibration(stats)
 
     rng = np.random.default_rng([channel_cfg.seed, _EVALUATE_STREAM])
-    cache = protocol.evaluate_rounds(model, dataset.test, channel_cfg, rng, workers)
+    cache = protocol.evaluate_rounds(model, dataset.test, channel_cfg, rng)
     grid = _grid_values(cfg["protocol"]["grid"])
     report = analysis.build_report(cache, delta, cfg, sweep_grid=grid,
                                    calibration=stats,
@@ -380,8 +385,7 @@ def cmd_sweep(args) -> int:
     channel_cfg = ChannelConfig.from_dict(cfg["channel"])
     rng = np.random.default_rng([channel_cfg.seed, _EVALUATE_STREAM])
     grid = _grid_values(cfg["protocol"]["grid"])
-    rows = protocol.sweep_threshold(model, dataset.test, grid, channel_cfg, rng,
-                                    _workers(cfg, args))
+    rows = protocol.sweep_threshold(model, dataset.test, grid, channel_cfg, rng)
     out = Path(cfg["output_dir"]) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_sweep_csv(rows, out / "sweep.csv")
@@ -402,14 +406,21 @@ def cmd_report(args) -> int:
     traces_path = report_dir / "traces.csv"
     if not report_path.is_file() or not traces_path.is_file():
         raise ConfigError(f"no report.json/traces.csv under {report_dir}")
-    doc = json.loads(report_path.read_text())
-    traces = analysis.read_traces_csv(traces_path)
-    recomputed = {
-        "accuracy": protocol.task_accuracy(traces),
-        "avg_delay": protocol.average_delay(traces),
-        "escalation_rate": protocol.escalation_rate(traces),
-    }
-    stored = doc["protocol"]
+    try:
+        traces = analysis.read_traces_csv(traces_path)
+        recomputed = {
+            "accuracy": protocol.task_accuracy(traces),
+            "avg_delay": protocol.average_delay(traces),
+            "escalation_rate": protocol.escalation_rate(traces),
+        }
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{traces_path} is malformed: {e}") from None
+    try:
+        stored = json.loads(report_path.read_text())["protocol"]
+        if not all(type(stored[key]) in (int, float) for key in recomputed):
+            raise TypeError(f"protocol {', '.join(recomputed)} must be numbers")
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{report_path} is malformed: {e!r}") from None
     print(f"{'metric':<16} {'stored':>12} {'from traces':>12}")
     mismatch = False
     for key, value in recomputed.items():
@@ -442,9 +453,8 @@ def _add_common(p: argparse.ArgumentParser, bundle: bool = False) -> None:
     p.add_argument("--loss-weight", type=float, help="round-1 loss weight w")
     p.add_argument("--seed", type=int, help="seeds training and channel streams")
     p.add_argument("--deterministic", action="store_true",
-                   help="serial, seeded execution (single worker)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="evaluation worker cap (ignored when deterministic)")
+                   help="record training.deterministic=true in the bundle; every "
+                        "run is serial and seeded either way")
     p.add_argument("--data-dir", help=f"CIFAR-10 directory (or ${DATA_DIR_ENV})")
     if bundle:
         p.add_argument("--bundle", help="trained bundle directory "

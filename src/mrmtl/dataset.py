@@ -29,14 +29,6 @@ class CifarFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One labeled image."""
-
-    image: np.ndarray  # (3, 32, 32) float64 in [0, 1]
-    label: int
-
-
-@dataclass(frozen=True)
 class Split:
     """An ordered collection of samples stored as dense arrays."""
 
@@ -45,9 +37,6 @@ class Split:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(image=self.images[i], label=int(self.labels[i]))
 
     def subset(self, indices) -> "Split":
         return Split(self.images[indices], self.labels[indices])

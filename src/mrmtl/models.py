@@ -1,4 +1,4 @@
-"""Encoder/decoder assembly, joint training, and per-round inference.
+"""Encoder/decoder assembly, joint training, and the two-round forward pass.
 
 Two system variants share the same building blocks:
 
@@ -25,13 +25,12 @@ from . import nn
 from .channel import (
     ChannelConfig,
     ChannelDraw,
-    ReceivedBlock,
     apply_channel,
     draw_channel,
     power_norm_backward,
     power_norm_forward,
 )
-from .dataset import Dataset, Sample, Split, batches
+from .dataset import Dataset, Split, batches
 
 EVAL_BATCH = 64
 
@@ -112,20 +111,11 @@ class DecoderOutput:
     confidence: float      # max probability
     round_index: int       # 1 or 2
 
-    @staticmethod
-    def from_probs(probs: np.ndarray, round_index: int) -> "DecoderOutput":
-        return DecoderOutput(
-            probs=probs,
-            predicted=int(np.argmax(probs)),
-            confidence=float(np.max(probs)),
-            round_index=round_index,
-        )
-
 
 @dataclass
 class SrstlModel:
-    encoder: nn.Network
-    decoder: nn.Network
+    encoder1: nn.Network
+    decoder1: nn.Network
     nc1: int
 
 
@@ -138,6 +128,11 @@ class MrmtlModel:
     loss_weight: float
     nc1: int
     nc2: int
+
+
+# bundle part names per mode; both model kinds name their networks after them
+PARTS = {"mrmtl": ("encoder1", "encoder2", "decoder1", "decoder2"),
+         "srstl": ("encoder1", "decoder1")}
 
 
 def build_encoder(out_size: int, seed: int, input_shape=(3, 32, 32)) -> nn.Network:
@@ -205,32 +200,37 @@ def _transmit_backward(encoder: nn.Network, d_received: np.ndarray, cache: tuple
     encoder.backward(power_norm_backward(ds, norm_cache))
 
 
-def srstl_loss(model: SrstlModel, images, labels, draw: ChannelDraw,
-               train: bool = False, rng=None):
-    """Forward pass only; returns (loss, probs)."""
-    r, _ = _transmit_batch(model.encoder, images, draw, train, rng)
-    probs = model.decoder.forward(r, train, rng)
-    return nn.cross_entropy(probs, labels), probs
+def _forward(model, images, draw1: ChannelDraw, draw2: ChannelDraw | None = None,
+             train: bool = False, rng=None):
+    """The receiver's two rounds over one batch; returns (probs1, probs2, caches).
+
+    Runs encoder1, encoder2, decoder1, decoder2 in that order, so dropout
+    draws from rng in the order training records them. Decoder 2 sees
+    [r1, r2], with r1 reused exactly as received. Round 2 is skipped when
+    draw2 is None, and its probs and cache are then None.
+    """
+    r1, cache1 = _transmit_batch(model.encoder1, images, draw1, train, rng)
+    if draw2 is None:
+        return model.decoder1.forward(r1, train, rng), None, (cache1, None)
+    r2, cache2 = _transmit_batch(model.encoder2, images, draw2, train, rng)
+    probs1 = model.decoder1.forward(r1, train, rng)
+    probs2 = model.decoder2.forward(np.concatenate([r1, r2], axis=1), train, rng)
+    return probs1, probs2, (cache1, cache2)
 
 
 def srstl_loss_and_grads(model: SrstlModel, images, labels, draw: ChannelDraw, rng):
     """Training forward + backward; gradients are left on the networks."""
-    r, cache = _transmit_batch(model.encoder, images, draw, True, rng)
-    probs = model.decoder.forward(r, True, rng)
-    loss = nn.cross_entropy(probs, labels)
-    dr = model.decoder.backward(nn.cross_entropy_grad(probs, labels))
-    _transmit_backward(model.encoder, dr, cache)
-    return loss, probs
+    probs, _, (cache, _) = _forward(model, images, draw, train=True, rng=rng)
+    dr = model.decoder1.backward(nn.cross_entropy_grad(probs, labels))
+    _transmit_backward(model.encoder1, dr, cache)
+    return nn.cross_entropy(probs, labels), probs
 
 
 def mrmtl_loss(model: MrmtlModel, images, labels, draw1: ChannelDraw, draw2: ChannelDraw,
                w: float | None = None, train: bool = False, rng=None):
     """Forward pass of both heads; returns (loss, l1, l2, probs1, probs2)."""
     w = model.loss_weight if w is None else w
-    r1, _ = _transmit_batch(model.encoder1, images, draw1, train, rng)
-    r2, _ = _transmit_batch(model.encoder2, images, draw2, train, rng)
-    probs1 = model.decoder1.forward(r1, train, rng)
-    probs2 = model.decoder2.forward(np.concatenate([r1, r2], axis=1), train, rng)
+    probs1, probs2, _ = _forward(model, images, draw1, draw2, train, rng)
     l1 = nn.cross_entropy(probs1, labels)
     l2 = nn.cross_entropy(probs2, labels)
     return w * l1 + (1.0 - w) * l2, l1, l2, probs1, probs2
@@ -245,18 +245,14 @@ def mrmtl_loss_and_grads(model: MrmtlModel, images, labels, draw1: ChannelDraw,
     Decoder 2's (weighted by 1-w).
     """
     w = model.loss_weight if w is None else w
-    nc1 = model.nc1
-    r1, cache1 = _transmit_batch(model.encoder1, images, draw1, True, rng)
-    r2, cache2 = _transmit_batch(model.encoder2, images, draw2, True, rng)
-    probs1 = model.decoder1.forward(r1, True, rng)
-    probs2 = model.decoder2.forward(np.concatenate([r1, r2], axis=1), True, rng)
+    probs1, probs2, (cache1, cache2) = _forward(model, images, draw1, draw2, True, rng)
     l1 = nn.cross_entropy(probs1, labels)
     l2 = nn.cross_entropy(probs2, labels)
 
     d_r1 = model.decoder1.backward(w * nn.cross_entropy_grad(probs1, labels))
     d_cat = model.decoder2.backward((1.0 - w) * nn.cross_entropy_grad(probs2, labels))
-    _transmit_backward(model.encoder1, d_r1 + d_cat[:, :nc1], cache1)
-    _transmit_backward(model.encoder2, d_cat[:, nc1:], cache2)
+    _transmit_backward(model.encoder1, d_r1 + d_cat[:, :model.nc1], cache1)
+    _transmit_backward(model.encoder2, d_cat[:, model.nc1:], cache2)
     return w * l1 + (1.0 - w) * l2, l1, l2, probs1, probs2
 
 
@@ -280,28 +276,24 @@ def _check_finite(loss: float, epoch: int) -> None:
         raise TrainingError(f"non-finite loss at epoch {epoch}")
 
 
-def _srstl_accuracy(model: SrstlModel, split: Split, cfg: ChannelConfig, rng) -> float:
-    correct = 0
-    for imgs, labels in batches(split, EVAL_BATCH):
-        draw = draw_channel(cfg, imgs.shape[0], model.nc1, rng)
-        r, _ = _transmit_batch(model.encoder, imgs, draw, False, None)
-        probs = model.decoder.forward(r, False, None)
-        correct += int(np.sum(probs.argmax(axis=1) == labels))
-    return correct / len(split)
+def mrmtl_head_accuracies(model, split: Split, cfg: ChannelConfig,
+                          rng) -> tuple[float, float | None]:
+    """Round-1 and Round-2 head accuracies over fresh channel draws.
 
-
-def mrmtl_head_accuracies(model: MrmtlModel, split: Split, cfg: ChannelConfig, rng) -> tuple[float, float]:
-    """Round-1 and Round-2 head accuracies over fresh channel draws."""
+    An SRSTL model has no Round-2 head, so its second accuracy is None.
+    """
+    two_rounds = isinstance(model, MrmtlModel)
     c1 = c2 = 0
     for imgs, labels in batches(split, EVAL_BATCH):
         b = imgs.shape[0]
         draw1 = draw_channel(cfg, b, model.nc1, rng)
-        draw2 = draw_channel(cfg, b, model.nc2, rng)
-        _, _, _, probs1, probs2 = mrmtl_loss(model, imgs, labels, draw1, draw2)
+        draw2 = draw_channel(cfg, b, model.nc2, rng) if two_rounds else None
+        probs1, probs2, _ = _forward(model, imgs, draw1, draw2)
         c1 += int(np.sum(probs1.argmax(axis=1) == labels))
-        c2 += int(np.sum(probs2.argmax(axis=1) == labels))
+        if two_rounds:
+            c2 += int(np.sum(probs2.argmax(axis=1) == labels))
     n = len(split)
-    return c1 / n, c2 / n
+    return c1 / n, (c2 / n if two_rounds else None)
 
 
 def train_srstl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: ChannelConfig,
@@ -310,8 +302,8 @@ def train_srstl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: Channel
     root = np.random.SeedSequence([cfg.seed, 11])
     enc_seed, dec_seed, loop_seed = (int(s.generate_state(1)[0]) for s in root.spawn(3))
     model = SrstlModel(
-        encoder=build_encoder(arch.nc1, enc_seed),
-        decoder=build_decoder(arch.nc1, arch.decoder_hidden, dec_seed, arch.num_classes),
+        encoder1=build_encoder(arch.nc1, enc_seed),
+        decoder1=build_decoder(arch.nc1, arch.decoder_hidden, dec_seed, arch.num_classes),
         nc1=arch.nc1,
     )
     rng = np.random.default_rng(loop_seed)
@@ -325,16 +317,16 @@ def train_srstl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: Channel
             draw = draw_channel(channel_cfg, imgs.shape[0], arch.nc1, rng)
             loss, probs = srstl_loss_and_grads(model, imgs, labels, draw, rng)
             _check_finite(loss, epoch)
-            opt.step([model.encoder, model.decoder])
+            opt.step([model.encoder1, model.decoder1])
             total_loss += loss * imgs.shape[0]
             correct += int(np.sum(probs.argmax(axis=1) == labels))
         log.append({
             "epoch": epoch,
             "train_loss": total_loss / len(dataset.train),
             "train_accuracy": correct / len(dataset.train),
-            "test_accuracy": _srstl_accuracy(model, dataset.test, channel_cfg, rng),
+            "test_accuracy": mrmtl_head_accuracies(model, dataset.test, channel_cfg, rng)[0],
         })
-    _release_gradients([model.encoder, model.decoder])
+    _release_gradients([model.encoder1, model.decoder1])
     return model, log
 
 
@@ -393,53 +385,6 @@ def train_mrmtl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: Channel
 
 
 # ---------------------------------------------------------------------------
-# per-sample inference
-
-
-def _round1_nets(model) -> tuple[nn.Network, nn.Network, int]:
-    if isinstance(model, MrmtlModel):
-        return model.encoder1, model.decoder1, model.nc1
-    return model.encoder, model.decoder, model.nc1
-
-
-def _as_image_batch(sample) -> np.ndarray:
-    image = sample.image if isinstance(sample, Sample) else np.asarray(sample)
-    return image[None, ...]
-
-
-def infer_round1(model, sample, channel_cfg: ChannelConfig, rng) -> tuple[DecoderOutput, ReceivedBlock]:
-    """Round-1 transmission and classification for one sample.
-
-    Returns the decoder verdict and the received block, which is retained
-    for a possible Round 2.
-    """
-    encoder, decoder, nc1 = _round1_nets(model)
-    draw = draw_channel(channel_cfg, 1, nc1, rng)
-    r, _ = _transmit_batch(encoder, _as_image_batch(sample), draw, False, None)
-    probs = decoder.forward(r, False, None)
-    return (DecoderOutput.from_probs(probs[0], round_index=1),
-            ReceivedBlock(symbols=r[0], round_index=1))
-
-
-def infer_round2(model: MrmtlModel, sample, r1: ReceivedBlock,
-                 channel_cfg: ChannelConfig, rng) -> DecoderOutput:
-    """Round-2 escalation: transmit the second encoding over a fresh channel
-    and decode [r1, r2]. r1 is reused exactly as received, so the sample's
-    total channel uses are nc1 + nc2."""
-    expected = model.decoder2.input_shape[0]
-    if r1.symbols.size + model.nc2 != expected:
-        raise nn.ShapeError(
-            f"round-1 block of length {r1.symbols.size} does not fit decoder2 "
-            f"input {expected} with nc2={model.nc2}"
-        )
-    draw = draw_channel(channel_cfg, 1, model.nc2, rng)
-    r2, _ = _transmit_batch(model.encoder2, _as_image_batch(sample), draw, False, None)
-    concat = np.concatenate([r1.symbols[None, :], r2], axis=1)
-    probs = model.decoder2.forward(concat, False, None)
-    return DecoderOutput.from_probs(probs[0], round_index=2)
-
-
-# ---------------------------------------------------------------------------
 # model bundles on disk
 
 BUNDLE_VERSION = 1
@@ -459,19 +404,14 @@ def save_bundle(model, out_dir, arch: ArchitectureConfig, channel_cfg: ChannelCo
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(model, MrmtlModel):
-        mode = "mrmtl"
-        parts = {"encoder1": model.encoder1, "encoder2": model.encoder2,
-                 "decoder1": model.decoder1, "decoder2": model.decoder2}
-    else:
-        mode = "srstl"
-        parts = {"encoder1": model.encoder, "decoder1": model.decoder}
-    for name, net in parts.items():
-        nn.save_checkpoint(net, out / f"{name}.ckpt", metadata={"part": name, "mode": mode})
+    mode = "mrmtl" if isinstance(model, MrmtlModel) else "srstl"
+    for name in PARTS[mode]:
+        nn.save_checkpoint(getattr(model, name), out / f"{name}.ckpt",
+                           metadata={"part": name, "mode": mode})
     manifest = {
         "format_version": BUNDLE_VERSION,
         "mode": mode,
-        "parts": sorted(parts),
+        "parts": sorted(PARTS[mode]),
         "architecture": arch.to_dict(),
         "channel": channel_cfg.to_dict(),
         "training": train_cfg.to_dict(),
@@ -512,10 +452,9 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
         net, _ = nn.load_checkpoint(path)
         return net
 
-    if mode not in ("mrmtl", "srstl"):
+    if mode not in PARTS:
         raise BundleError(f"unknown bundle mode {mode!r}")
-    parts = ["encoder1", "decoder1"] + (["encoder2", "decoder2"] if mode == "mrmtl" else [])
-    nets = {name: load_part(name) for name in parts}
+    nets = {name: load_part(name) for name in PARTS[mode]}
     # (part, "input"/"output", width the manifest implies, its source)
     expected = [("encoder1", "output", arch.nc1, "nc1"),
                 ("decoder1", "input", arch.nc1, "nc1"),
@@ -536,5 +475,5 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
     if mode == "mrmtl":
         model = MrmtlModel(**nets, loss_weight=loss_weight, nc1=arch.nc1, nc2=arch.nc2)
     else:
-        model = SrstlModel(encoder=nets["encoder1"], decoder=nets["decoder1"], nc1=arch.nc1)
+        model = SrstlModel(**nets, nc1=arch.nc1)
     return model, manifest

@@ -15,7 +15,7 @@ from .loss import cross_entropy, cross_entropy_grad
 from .network import Network
 from .optim import Adam, NumericError
 from .gradcheck import GradCheckReport, gradcheck, relative_error
-from .checkpoint import CheckpointError, load_checkpoint, read_header, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Adam",
@@ -35,7 +35,6 @@ __all__ = [
     "gradcheck",
     "layer_from_config",
     "load_checkpoint",
-    "read_header",
     "relative_error",
     "save_checkpoint",
     "softmax",

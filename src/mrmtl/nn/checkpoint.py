@@ -57,12 +57,6 @@ def _parse_header(f, name: str) -> dict:
     return header
 
 
-def read_header(path) -> dict:
-    path = Path(path)
-    with open(path, "rb") as f:
-        return _parse_header(f, path.name)
-
-
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Rebuild the network and its parameters; returns (net, header).
 

@@ -74,11 +74,6 @@ class Network:
                 out.append((f"layer{i}.{name}", layer.grads[name]))
         return out
 
-    def scale_grads(self, factor: float) -> None:
-        for layer in self.layers:
-            for name in layer.grads:
-                layer.grads[name] = layer.grads[name] * factor
-
     def num_params(self) -> int:
         return sum(p.size for _, p in self.param_items())
 

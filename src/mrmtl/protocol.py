@@ -16,18 +16,17 @@ same entry rng state.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelConfig, draw_channel
-from .dataset import Sample, Split
-from .models import DecoderOutput, MrmtlModel, _transmit_batch
+from .dataset import Split
+from .models import DecoderOutput, MrmtlModel, _forward
 
 # Samples are processed in fixed-size chunks, one spawned rng child per
 # chunk, so channel draws depend only on the entry rng state and the sample
-# order, never on the worker count.
+# order.
 CHUNK = 64
 
 
@@ -85,60 +84,37 @@ class CalibrationStats:
     separated: bool
 
 
-def _split_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, Split):
-        return samples.images, samples.labels
-    items = list(samples)
-    if not items:
-        raise ValueError("empty sample set")
-    images = np.stack([s.image if isinstance(s, Sample) else np.asarray(s[0]) for s in items])
-    labels = np.array([s.label if isinstance(s, Sample) else int(s[1]) for s in items])
-    return images, labels
-
-
-def _chunk_bounds(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-
-
-def evaluate_rounds(model: MrmtlModel, samples, channel_cfg: ChannelConfig, rng,
-                    workers: int = 1) -> RoundCache:
-    """Run both heads over every sample once and cache the outputs.
+def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
+                 round2: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Decoder-head probabilities for every sample, one CHUNK at a time.
 
     Each chunk draws its Round-1 channel before its Round-2 channel from its
-    own rng child. The model is read-only here, so chunks may be evaluated
-    by a thread pool; results land in preallocated arrays at fixed offsets.
+    own rng child. With round2=False nothing of Round 2 runs, and the
+    Round-1 draws are still the ones a full pass makes.
     """
-    images, labels = _split_arrays(samples)
-    n = images.shape[0]
+    n = len(split)
     if n == 0:
         raise ValueError("empty sample set")
-    bounds = _chunk_bounds(n)
-    rngs = rng.spawn(len(bounds))
+    bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     k = model.decoder1.output_shape[0]
     probs1 = np.empty((n, k))
-    probs2 = np.empty((n, k))
+    probs2 = np.empty((n, k)) if round2 else None
+    for (lo, hi), crng in zip(bounds, rng.spawn(len(bounds))):
+        draw1 = draw_channel(channel_cfg, hi - lo, model.nc1, crng)
+        draw2 = draw_channel(channel_cfg, hi - lo, model.nc2, crng) if round2 else None
+        p1, p2, _ = _forward(model, split.images[lo:hi], draw1, draw2)
+        probs1[lo:hi] = p1
+        if round2:
+            probs2[lo:hi] = p2
+    return probs1, probs2
 
-    def eval_chunk(i: int) -> None:
-        lo, hi = bounds[i]
-        crng = rngs[i]
-        imgs = images[lo:hi]
-        b = hi - lo
-        draw1 = draw_channel(channel_cfg, b, model.nc1, crng)
-        draw2 = draw_channel(channel_cfg, b, model.nc2, crng)
-        r1, _ = _transmit_batch(model.encoder1, imgs, draw1, False, None)
-        r2, _ = _transmit_batch(model.encoder2, imgs, draw2, False, None)
-        probs1[lo:hi] = model.decoder1.forward(r1, False, None)
-        probs2[lo:hi] = model.decoder2.forward(np.concatenate([r1, r2], axis=1), False, None)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(eval_chunk, range(len(bounds))))
-    else:
-        for i in range(len(bounds)):
-            eval_chunk(i)
-
+def evaluate_rounds(model: MrmtlModel, split: Split, channel_cfg: ChannelConfig,
+                    rng) -> RoundCache:
+    """Run both heads over every sample once and cache the outputs."""
+    probs1, probs2 = _round_probs(model, split, channel_cfg, rng)
     return RoundCache(
-        true_labels=labels,
+        true_labels=split.labels,
         round1_probs=probs1,
         round1_pred=probs1.argmax(axis=1),
         round1_conf=probs1.max(axis=1),
@@ -181,10 +157,10 @@ def apply_threshold(cache: RoundCache, delta: float) -> list[ProtocolTrace]:
     return traces
 
 
-def run_protocol(model: MrmtlModel, samples, delta: float, channel_cfg: ChannelConfig,
-                 rng, workers: int = 1) -> list[ProtocolTrace]:
+def run_protocol(model: MrmtlModel, split: Split, delta: float, channel_cfg: ChannelConfig,
+                 rng) -> list[ProtocolTrace]:
     """Dynamic round selection over a sample set at one threshold."""
-    return apply_threshold(evaluate_rounds(model, samples, channel_cfg, rng, workers), delta)
+    return apply_threshold(evaluate_rounds(model, split, channel_cfg, rng), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -270,35 +246,21 @@ def threshold_midpoint(mean_conf_correct: float, mean_conf_incorrect: float) -> 
     return (mean_conf_correct + mean_conf_incorrect) / 2.0
 
 
-def calibrate_threshold(model, samples, channel_cfg: ChannelConfig, rng,
+def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
                         num_bins: int = 50) -> CalibrationStats:
     """Estimate the escalation threshold from Round-1 behavior alone.
 
     Runs Round-1 inference over the calibration set, splits confidences by
     whether the prediction was correct, and returns the conditional means,
-    their midpoint, and fixed-width histograms over [0, 1].
+    their midpoint, and fixed-width histograms over [0, 1]. The Round-1
+    draws equal those of evaluate_rounds under the same entry rng state.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    images, labels = _split_arrays(samples)
-    n = images.shape[0]
-    if n == 0:
-        raise ValueError("empty sample set")
-    encoder = model.encoder1 if isinstance(model, MrmtlModel) else model.encoder
-    decoder = model.decoder1 if isinstance(model, MrmtlModel) else model.decoder
-    nc1 = model.nc1
-    bounds = _chunk_bounds(n)
-    rngs = rng.spawn(len(bounds))
-    conf = np.empty(n)
-    pred = np.empty(n, dtype=np.int64)
-    for i, (lo, hi) in enumerate(bounds):
-        draw1 = draw_channel(channel_cfg, hi - lo, nc1, rngs[i])
-        r1, _ = _transmit_batch(encoder, images[lo:hi], draw1, False, None)
-        probs = decoder.forward(r1, False, None)
-        conf[lo:hi] = probs.max(axis=1)
-        pred[lo:hi] = probs.argmax(axis=1)
-
-    correct = pred == labels
+    probs, _ = _round_probs(model, split, channel_cfg, rng, round2=False)
+    conf = probs.max(axis=1)
+    correct = probs.argmax(axis=1) == split.labels
+    n = len(split)
     n_correct = int(np.count_nonzero(correct))
     n_incorrect = n - n_correct
     if n_correct == 0:
@@ -361,11 +323,11 @@ def sweep_from_cache(cache: RoundCache, delta_grid) -> list[dict]:
     return rows
 
 
-def sweep_threshold(model: MrmtlModel, samples, delta_grid, channel_cfg: ChannelConfig,
-                    rng, workers: int = 1) -> list[dict]:
+def sweep_threshold(model: MrmtlModel, split: Split, delta_grid, channel_cfg: ChannelConfig,
+                    rng) -> list[dict]:
     """One evaluation pass, many thresholds."""
     grid = _validate_grid(delta_grid)
-    cache = evaluate_rounds(model, samples, channel_cfg, rng, workers)
+    cache = evaluate_rounds(model, split, channel_cfg, rng)
     return sweep_from_cache(cache, grid)
 
 

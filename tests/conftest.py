@@ -35,8 +35,8 @@ def small_srstl(nc1: int = 4, num_classes: int = 10, seed: int = 0) -> SrstlMode
     ss = np.random.SeedSequence([seed, 88])
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(2)]
     return SrstlModel(
-        encoder=build_encoder(nc1, seeds[0], input_shape=SMALL_SHAPE),
-        decoder=build_decoder(nc1, nc1, seeds[1], num_classes),
+        encoder1=build_encoder(nc1, seeds[0], input_shape=SMALL_SHAPE),
+        decoder1=build_decoder(nc1, nc1, seeds[1], num_classes),
         nc1=nc1,
     )
 

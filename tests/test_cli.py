@@ -15,7 +15,6 @@ from mrmtl.cli import (
     _grid_values,
     _parse_delta,
     _parse_grid_flag,
-    _workers,
     load_run_config,
     validate_config,
 )
@@ -187,10 +186,6 @@ class TestParsers:
         with pytest.raises(ConfigError):
             _parse_grid_flag("a:b:c")
 
-    def test_workers_respect_deterministic(self):
-        assert _workers({"training": {"deterministic": True}}, ns(threads=8)) == 1
-        assert _workers({"training": {"deterministic": False}}, ns(threads=8)) == 8
-
 
 class TestTrainCommand:
     def test_bundles_exist(self, trained_run):
@@ -205,10 +200,21 @@ class TestTrainCommand:
         assert baseline["architecture"]["nc"] == 4
         assert baseline["mode"] == "srstl"
 
-    def test_exit_code_2_on_bad_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "calibrate"])
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"dataset": {"kind": "imagenet"}}, id="unknown-dataset-kind"),
+        pytest.param({"protocol": 5}, id="protocol-not-object"),
+        pytest.param({"dataset": "x"}, id="dataset-not-object"),
+        pytest.param({"protocol": {"num_bins": "many"}}, id="num-bins-not-numeric"),
+        pytest.param({"dataset": {"kind": "synthetic", "per_class": "few"}},
+                     id="per-class-not-numeric"),
+        pytest.param({"output_dir": 7}, id="output-dir-not-path"),
+        pytest.param({"dataset": {"kind": "cifar10", "path": 5}}, id="data-path-not-path"),
+    ])
+    def test_exit_code_2_on_bad_config(self, tmp_path, capsys, command, bad):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dataset": {"kind": "imagenet"}}))
-        assert cli.main(["train", "--config", str(path)]) == 2
+        path.write_text(json.dumps(bad))
+        assert cli.main([command, "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -388,6 +394,12 @@ class TestSweepCommand:
         assert code == 2
 
 
+def _with_protocol_accuracy(report_text: str, value) -> str:
+    doc = json.loads(report_text)
+    doc["protocol"]["accuracy"] = value
+    return json.dumps(doc)
+
+
 class TestReportCommand:
     def _fresh_report(self, trained_run, tmp_path):
         code = cli.main(["evaluate", "--config", str(trained_run["config"]),
@@ -421,3 +433,24 @@ class TestReportCommand:
 
     def test_exit_2_on_missing_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--dir", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("name, tamper", [
+        pytest.param("report.json", lambda text: json.dumps({"schema": 1}),
+                     id="report-without-protocol"),
+        pytest.param("report.json", lambda text: text[: len(text) // 2],
+                     id="report-not-json"),
+        pytest.param("report.json", lambda text: _with_protocol_accuracy(text, "x"),
+                     id="report-non-numeric"),
+        pytest.param("traces.csv", lambda text: text.replace("true_label", "label", 1),
+                     id="traces-wrong-columns"),
+        pytest.param("traces.csv", lambda text: text.replace("\n0,", "\nzero,", 1),
+                     id="traces-non-numeric"),
+        pytest.param("traces.csv", lambda text: text.splitlines()[0] + "\n",
+                     id="traces-header-only"),
+    ])
+    def test_exit_2_on_malformed_input(self, trained_run, tmp_path, capsys, name, tamper):
+        report_dir = self._fresh_report(trained_run, tmp_path)
+        path = report_dir / name
+        path.write_text(tamper(path.read_text()))
+        assert cli.main(["report", "--dir", str(report_dir)]) == 2
+        assert name in capsys.readouterr().err

@@ -1,16 +1,17 @@
-"""Model assembly, joint loss, training loops, inference, bundles."""
+"""Model assembly, joint loss, the two-round forward, training loops, bundles."""
 
 import numpy as np
 import pytest
 
 from conftest import SMALL_SHAPE, random_split, small_mrmtl, small_srstl
 from mrmtl import models, nn
-from mrmtl.channel import ChannelConfig, ReceivedBlock, draw_channel
+from mrmtl.channel import ChannelConfig, draw_channel, power_norm_forward
 from mrmtl.dataset import make_synthetic
+from mrmtl.protocol import evaluate_rounds, run_protocol
 from mrmtl.models import (
+    _forward,
     ArchitectureConfig,
     BundleError,
-    DecoderOutput,
     MrmtlModel,
     SrstlModel,
     TrainConfig,
@@ -20,8 +21,6 @@ from mrmtl.models import (
     load_bundle,
     mrmtl_loss,
     mrmtl_loss_and_grads,
-    infer_round1,
-    infer_round2,
     save_bundle,
     train_mrmtl,
     train_srstl,
@@ -124,16 +123,28 @@ class TestBuilders:
 
 
 class TestDecoderOutput:
-    def test_from_probs(self):
-        probs = np.array([0.1, 0.6, 0.3])
-        out = DecoderOutput.from_probs(probs, round_index=2)
-        assert out.predicted == 1
-        assert out.confidence == 0.6
-        assert out.round_index == 2
+    def test_from_probs(self, mrmtl_small, split_small, awgn_cfg):
+        # every verdict's class and confidence are read off the probs it carries
+        split = split_small.subset(np.arange(20))
+        conf = evaluate_rounds(mrmtl_small, split, awgn_cfg, np.random.default_rng(3)).round1_conf
+        traces = run_protocol(mrmtl_small, split, float(np.median(conf)), awgn_cfg,
+                              np.random.default_rng(3))
+        outputs = [t.round1 for t in traces] + [t.round2 for t in traces if t.escalated]
+        assert any(t.escalated for t in traces) and not all(t.escalated for t in traces)
+        for out in outputs:
+            assert out.predicted == int(np.argmax(out.probs))
+            assert out.confidence == float(np.max(out.probs))
+        assert {out.round_index for out in outputs} == {1, 2}
 
-    def test_tie_breaks_to_lowest_class(self):
-        out = DecoderOutput.from_probs(np.array([0.4, 0.4, 0.2]), round_index=1)
-        assert out.predicted == 0
+    def test_tie_breaks_to_lowest_class(self, split_small, awgn_cfg):
+        # a zeroed softmax head ties every class; the verdict is class 0
+        model = small_mrmtl(seed=10)
+        for param in model.decoder1.layers[-1].params.values():
+            param[...] = 0.0
+        traces = run_protocol(model, split_small.subset(np.arange(5)), 0.0, awgn_cfg,
+                              np.random.default_rng(0))
+        assert [t.round1.predicted for t in traces] == [0] * 5
+        assert all(t.round1.confidence == 0.1 for t in traces)
 
 
 class TestJointLoss:
@@ -254,55 +265,57 @@ class TestJointLoss:
 
 
 class TestInference:
+    def _draws(self, model, n, cfg, seed=0, round2=True):
+        rng = np.random.default_rng(seed)
+        d1 = draw_channel(cfg, n, model.nc1, rng)
+        return d1, (draw_channel(cfg, n, model.nc2, rng) if round2 else None)
+
     def test_round1_mrmtl(self, mrmtl_small, split_small, awgn_cfg):
-        out, block = infer_round1(mrmtl_small, split_small[0], awgn_cfg,
-                                  np.random.default_rng(0))
-        assert out.round_index == 1
-        assert abs(float(out.probs.sum()) - 1.0) < 1e-9
-        assert out.predicted == int(np.argmax(out.probs))
-        assert out.confidence == float(np.max(out.probs))
-        assert block.symbols.shape == (mrmtl_small.nc1,)
-        assert block.round_index == 1
+        d1, _ = self._draws(mrmtl_small, 3, awgn_cfg, round2=False)
+        probs1, probs2, (cache1, cache2) = _forward(mrmtl_small, split_small.images[:3], d1)
+        assert probs1.shape == (3, 10)
+        assert np.allclose(probs1.sum(axis=1), 1.0, atol=1e-9)
+        assert probs2 is None and cache2 is None
+        assert cache1[1] is d1
 
     def test_round1_accepts_srstl(self, awgn_cfg):
         model = small_srstl()
-        out, block = infer_round1(model, random_split(n=1)[0], awgn_cfg,
-                                  np.random.default_rng(0))
-        assert out.round_index == 1
-        assert block.symbols.shape == (model.nc1,)
+        d1, _ = self._draws(model, 1, awgn_cfg, round2=False)
+        probs1, probs2, _ = _forward(model, random_split(n=1).images, d1)
+        assert probs1.shape == (1, 10)
+        assert probs2 is None
 
     def test_round2_decodes_both_blocks(self, mrmtl_small, split_small, awgn_cfg):
-        rng = np.random.default_rng(1)
-        out1, block = infer_round1(mrmtl_small, split_small[0], awgn_cfg, rng)
-        out2 = infer_round2(mrmtl_small, split_small[0], block, awgn_cfg, rng)
-        assert out2.round_index == 2
-        assert abs(float(out2.probs.sum()) - 1.0) < 1e-9
+        # round 1 reads the same whether or not round 2 follows
+        images = split_small.images[:3]
+        d1, d2 = self._draws(mrmtl_small, 3, awgn_cfg, seed=1)
+        probs1, probs2, _ = _forward(mrmtl_small, images, d1, d2)
+        alone, _, _ = _forward(mrmtl_small, images, d1)
+        assert np.array_equal(probs1, alone)
+        assert probs2.shape == (3, 10)
+        assert np.allclose(probs2.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_round2_rejects_mismatched_block(self, mrmtl_small, split_small, awgn_cfg):
-        bad = ReceivedBlock(symbols=np.zeros(mrmtl_small.nc1 + 1), round_index=1)
-        with pytest.raises(nn.ShapeError, match="decoder2"):
-            infer_round2(mrmtl_small, split_small[0], bad, awgn_cfg,
-                         np.random.default_rng(0))
+    def test_round2_rejects_mismatched_block(self, split_small, awgn_cfg):
+        # a round-2 decoder that does not fit [r1, r2] is refused, not broadcast
+        model = small_mrmtl()
+        model.decoder2 = build_decoder(model.nc1 + model.nc2 + 1, 4, seed=0)
+        d1, d2 = self._draws(model, 2, awgn_cfg)
+        with pytest.raises(nn.ShapeError, match="input shape"):
+            _forward(model, split_small.images[:2], d1, d2)
 
     def test_noiseless_round_trip_matches_manual_forward(self, mrmtl_small, split_small):
         # with infinite SNR and unit gain the received block is exactly the
-        # normalized encoder output, so inference must equal a hand-built pass
+        # normalized encoder output, so evaluation must equal a hand-built pass
         cfg = ChannelConfig(kind="awgn", snr_db=np.inf, seed=0)
-        sample = split_small[3]
-        rng = np.random.default_rng(0)
-        out1, block = infer_round1(mrmtl_small, sample, cfg, rng)
-        out2 = infer_round2(mrmtl_small, sample, block, cfg, rng)
+        split = split_small.subset(np.arange(3, 8))
+        cache = evaluate_rounds(mrmtl_small, split, cfg, np.random.default_rng(0))
 
-        from mrmtl.channel import normalize_power_batch
-
-        img = sample.image[None, ...]
-        r1 = normalize_power_batch(mrmtl_small.encoder1.forward(img))
-        r2 = normalize_power_batch(mrmtl_small.encoder2.forward(img))
-        want1 = mrmtl_small.decoder1.forward(r1)[0]
-        want2 = mrmtl_small.decoder2.forward(np.concatenate([r1, r2], axis=1))[0]
-        assert np.array_equal(block.symbols, r1[0])
-        assert np.array_equal(out1.probs, want1)
-        assert np.array_equal(out2.probs, want2)
+        r1, _ = power_norm_forward(mrmtl_small.encoder1.forward(split.images))
+        r2, _ = power_norm_forward(mrmtl_small.encoder2.forward(split.images))
+        want1 = mrmtl_small.decoder1.forward(r1)
+        want2 = mrmtl_small.decoder2.forward(np.concatenate([r1, r2], axis=1))
+        assert np.array_equal(cache.round1_probs, want1)
+        assert np.array_equal(cache.round2_probs, want2)
 
 
 class TestTraining:
@@ -311,9 +324,9 @@ class TestTraining:
         arch = ArchitectureConfig(nc=4)
         model, log = train_srstl(ds, arch, ChannelConfig(seed=0), TrainConfig(epochs=0))
         assert log == []
-        assert model.encoder.input_shape == (3, 32, 32)
-        assert model.encoder.output_shape == (4,)
-        assert model.decoder.output_shape == (10,)
+        assert model.encoder1.input_shape == (3, 32, 32)
+        assert model.encoder1.output_shape == (4,)
+        assert model.decoder1.output_shape == (10,)
 
     def test_zero_epoch_mrmtl_shapes(self):
         ds = make_synthetic(10, 5, seed=0)
@@ -365,7 +378,7 @@ class TestCacheLifetime:
 
     def test_train_srstl_returns_model_without_training_state(self):
         model, _ = train_srstl(*self._setup())
-        assert self._cached([model.encoder, model.decoder]) == []
+        assert self._cached([model.encoder1, model.decoder1]) == []
 
 
 class TestBundles:
@@ -402,8 +415,8 @@ class TestBundles:
         assert isinstance(loaded, SrstlModel)
         assert manifest["mode"] == "srstl"
         assert manifest["parts"] == ["decoder1", "encoder1"]
-        for (na, pa), (nb, pb) in zip(model.encoder.param_items(),
-                                      loaded.encoder.param_items()):
+        for (na, pa), (nb, pb) in zip(model.encoder1.param_items(),
+                                      loaded.encoder1.param_items()):
             assert np.array_equal(pa, pb)
 
     def test_missing_manifest(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_split, small_mrmtl
 from mrmtl import protocol
 from mrmtl.channel import ChannelConfig
+from mrmtl.dataset import Split
 from mrmtl.protocol import (
     CalibrationError,
     RoundCache,
@@ -205,36 +206,12 @@ class TestSweeps:
 
 
 class TestEvaluateRounds:
-    def test_worker_count_does_not_change_results(self, awgn_cfg):
-        model = small_mrmtl()
-        split = random_split(n=150)
-        c1 = evaluate_rounds(model, split, awgn_cfg, np.random.default_rng(5), workers=1)
-        c4 = evaluate_rounds(model, split, awgn_cfg, np.random.default_rng(5), workers=4)
-        assert np.array_equal(c1.round1_probs, c4.round1_probs)
-        assert np.array_equal(c1.round2_probs, c4.round2_probs)
-        assert np.array_equal(c1.round1_conf, c4.round1_conf)
-
-    def test_sample_list_matches_split(self, awgn_cfg):
-        model = small_mrmtl()
-        split = random_split(n=20)
-        as_samples = [split[i] for i in range(len(split))]
-        c_split = evaluate_rounds(model, split, awgn_cfg, np.random.default_rng(6))
-        c_list = evaluate_rounds(model, as_samples, awgn_cfg, np.random.default_rng(6))
-        assert np.array_equal(c_split.round1_probs, c_list.round1_probs)
-        assert np.array_equal(c_split.round2_probs, c_list.round2_probs)
-
-    def test_pair_tuples_accepted(self, awgn_cfg):
-        model = small_mrmtl()
-        split = random_split(n=4)
-        pairs = [(split.images[i], int(split.labels[i])) for i in range(4)]
-        cache = evaluate_rounds(model, pairs, awgn_cfg, np.random.default_rng(7))
-        assert len(cache) == 4
-        assert np.array_equal(cache.true_labels, split.labels)
-
     def test_empty_inputs_rejected(self, awgn_cfg):
         model = small_mrmtl()
-        with pytest.raises(ValueError, match="empty"):
-            evaluate_rounds(model, [], awgn_cfg, np.random.default_rng(0))
+        empty = random_split(n=0)
+        for fn in (evaluate_rounds, calibrate_threshold):
+            with pytest.raises(ValueError, match="empty"):
+                fn(model, empty, awgn_cfg, np.random.default_rng(0))
 
     def test_probabilities_are_normalized(self, awgn_cfg):
         model = small_mrmtl()
@@ -271,31 +248,30 @@ class TestCalibration:
         assert stats.mean_conf_correct == float(cache.round1_conf[correct].mean())
         assert stats.mean_conf_incorrect == float(cache.round1_conf[~correct].mean())
 
+    @staticmethod
+    def _one_image_split(model, cfg):
+        """Eight copies of one image and the noise-free round-1 verdict on it."""
+        images = np.repeat(random_split(n=8).images[:1], 8, axis=0)
+        cache = evaluate_rounds(model, Split(images=images, labels=np.zeros(8, np.int64)),
+                                cfg, np.random.default_rng(0))
+        assert np.all(cache.round1_pred == cache.round1_pred[0])
+        return images, int(cache.round1_pred[0])
+
     def test_all_correct_raises(self):
         # identical inputs and a noise-free channel give one shared verdict;
         # labeling every sample with it leaves the incorrect partition empty
         model = small_mrmtl()
         cfg = ChannelConfig(kind="awgn", snr_db=np.inf, seed=0)
-        split = random_split(n=8)
-        images = np.repeat(split.images[:1], 8, axis=0)
-        from mrmtl.models import infer_round1
-        from mrmtl.dataset import Split
-
-        verdict, _ = infer_round1(model, split[0], cfg, np.random.default_rng(0))
-        same = Split(images=images, labels=np.full(8, verdict.predicted))
+        images, verdict = self._one_image_split(model, cfg)
+        same = Split(images=images, labels=np.full(8, verdict))
         with pytest.raises(CalibrationError, match="no incorrectly"):
             calibrate_threshold(model, same, cfg, np.random.default_rng(1))
 
     def test_all_incorrect_raises(self):
         model = small_mrmtl()
         cfg = ChannelConfig(kind="awgn", snr_db=np.inf, seed=0)
-        split = random_split(n=8)
-        images = np.repeat(split.images[:1], 8, axis=0)
-        from mrmtl.models import infer_round1
-        from mrmtl.dataset import Split
-
-        verdict, _ = infer_round1(model, split[0], cfg, np.random.default_rng(0))
-        wrong = Split(images=images, labels=np.full(8, (verdict.predicted + 1) % 10))
+        images, verdict = self._one_image_split(model, cfg)
+        wrong = Split(images=images, labels=np.full(8, (verdict + 1) % 10))
         with pytest.raises(CalibrationError, match="no correctly"):
             calibrate_threshold(model, wrong, cfg, np.random.default_rng(1))
 
