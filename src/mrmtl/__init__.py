@@ -9,7 +9,6 @@ from .analysis import (
     ConfusionMatrix,
     RunReport,
     build_report,
-    compare_srstl_mrmtl,
     confusion,
     emit_report,
     read_sweep_csv,
@@ -77,7 +76,7 @@ __all__ = [
     "RunReport", "Split", "SrstlModel", "TrainConfig", "TrainingError",
     "accuracy_decomposition", "apply_channel", "apply_threshold", "average_delay",
     "batches", "build_decoder", "build_encoder", "build_report",
-    "calibrate_threshold", "compare_srstl_mrmtl", "confusion",
+    "calibrate_threshold", "confusion",
     "dataset_fingerprint", "default_delta_grid", "delay_decomposition",
     "draw_channel", "emit_report", "escalation_rate", "evaluate_rounds",
     "load_bundle", "load_cifar10", "make_synthetic", "mrmtl_loss",

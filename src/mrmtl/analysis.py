@@ -56,20 +56,11 @@ class ConfusionMatrix:
         return int(np.trace(self.counts)) / total
 
 
-def confusion(data, num_classes: int = 10, class_names: list[str] | None = None,
-              true_labels=None) -> ConfusionMatrix:
-    """Count (true, predicted) pairs.
-
-    Accepts a list of protocol traces (uses final predictions) or a
-    predictions array together with true_labels.
-    """
-    if true_labels is not None:
-        pred = np.asarray(data, dtype=np.int64)
-        true = np.asarray(true_labels, dtype=np.int64)
-    else:
-        traces = list(data)
-        pred = np.array([t.final_predicted for t in traces], dtype=np.int64)
-        true = np.array([t.true_label for t in traces], dtype=np.int64)
+def confusion(predicted, true_labels, num_classes: int,
+              class_names: list[str] | None) -> ConfusionMatrix:
+    """Count (true, predicted) pairs; class names default to class0, class1, ..."""
+    pred = np.asarray(predicted, dtype=np.int64)
+    true = np.asarray(true_labels, dtype=np.int64)
     if pred.shape != true.shape:
         raise ValueError(f"{pred.shape[0]} predictions vs {true.shape[0]} labels")
     for name, arr in (("prediction", pred), ("label", true)):
@@ -136,42 +127,13 @@ def build_report(cache: RoundCache, delta: float, config: dict,
         protocol=protocol_section,
         sweep=sweep,
         traces=traces,
-        confusion_round1=confusion(cache.round1_pred, num_classes, class_names,
-                                   true_labels=cache.true_labels),
-        confusion_round2=confusion(cache.round2_pred, num_classes, class_names,
-                                   true_labels=cache.true_labels),
+        confusion_round1=confusion(cache.round1_pred, cache.true_labels, num_classes,
+                                   class_names),
+        confusion_round2=confusion(cache.round2_pred, cache.true_labels, num_classes,
+                                   class_names),
         srstl=srstl,
         calibration=calibration,
     )
-
-
-def compare_srstl_mrmtl(srstl: dict, mrmtl: dict) -> list[dict]:
-    """Pair single-round baselines with the two joint heads at equal budgets.
-
-    srstl carries {"nc", "accuracy_nc", "accuracy_2nc", "channel"};
-    mrmtl carries {"nc1", "nc2", "round1_accuracy", "round2_accuracy",
-    "channel"}. Budgets and channel configs must match.
-    """
-    nc = srstl["nc"]
-    if mrmtl["nc1"] != nc:
-        raise ValueError(f"round-1 budget {mrmtl['nc1']} does not match baseline nc {nc}")
-    if mrmtl["nc1"] + mrmtl["nc2"] != 2 * nc:
-        raise ValueError("two-round budget does not match the 2nc baseline")
-    if srstl.get("channel") != mrmtl.get("channel"):
-        raise ValueError("channel configs differ between baseline and joint runs")
-    rows = []
-    for uses, s_acc, m_acc, head in (
-        (nc, srstl["accuracy_nc"], mrmtl["round1_accuracy"], "round1"),
-        (2 * nc, srstl["accuracy_2nc"], mrmtl["round2_accuracy"], "round2"),
-    ):
-        rows.append({
-            "channel_uses": uses,
-            "head": head,
-            "srstl_accuracy": s_acc,
-            "mrmtl_accuracy": m_acc,
-            "gap": m_acc - s_acc,
-        })
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +182,11 @@ def read_traces_csv(path) -> list[ProtocolTrace]:
             escalated = row["escalated"] == "1"
             conf = float(row["round1_conf"])
             r1 = DecoderOutput(probs=None, predicted=int(row["round1_pred"]),
-                               confidence=conf, round_index=1)
+                               confidence=conf)
             r2 = None
             if escalated:
                 r2 = DecoderOutput(probs=None, predicted=int(row["round2_pred"]),
-                                   confidence=float("nan"), round_index=2)
+                                   confidence=float("nan"))
             traces.append(ProtocolTrace(
                 sample_index=int(row["sample_index"]),
                 round1=r1,

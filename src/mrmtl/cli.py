@@ -20,7 +20,8 @@ import numpy as np
 
 from . import analysis, charts, protocol
 from .channel import ChannelConfig
-from .dataset import CifarFormatError, Dataset, dataset_fingerprint, load_cifar10, make_synthetic
+from .dataset import (CIFAR10_CLASS_NAMES, CifarFormatError, Dataset, dataset_fingerprint,
+                      load_cifar10, make_synthetic)
 from .models import (
     ArchitectureConfig,
     BundleError,
@@ -53,19 +54,12 @@ class ConfigError(ValueError):
 DEFAULT_CONFIG = {
     "dataset": {"kind": "synthetic", "num_classes": 10, "per_class": 40, "seed": 0},
     "channel": {"kind": "awgn", "snr_db": 10.0, "seed": 0},
-    "arch": {"nc": 4, "nc1": None, "nc2": None, "num_classes": 10,
-             "decoder_hidden": None},
+    "arch": {"nc": 4, "nc1": None, "nc2": None, "decoder_hidden": None},
     "training": {"epochs": 5, "batch_size": 32, "lr": 1e-3, "loss_weight": 0.5,
-                 "seed": 0, "deterministic": True},
+                 "seed": 0},
     "protocol": {"delta": "auto", "grid": {"start": 0.0, "stop": 1.0, "step": 0.02},
                  "num_bins": 50, "calibration_split": "test"},
     "output_dir": "runs/default",
-}
-
-DESK_SCALE_OVERRIDES = {
-    "dataset": {"kind": "synthetic", "num_classes": 10, "per_class": 40, "seed": 0},
-    "arch": {"nc": 4},
-    "training": {"epochs": 5, "batch_size": 32},
 }
 
 
@@ -91,7 +85,7 @@ def _parse_grid_flag(text: str) -> dict:
 
 
 def load_run_config(args) -> dict:
-    """Merge defaults, config file, desk-scale preset, and flag overrides.
+    """Merge defaults, config file, and flag overrides.
 
     The result never aliases DEFAULT_CONFIG, so callers may mutate it.
     """
@@ -107,8 +101,6 @@ def load_run_config(args) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = _deep_update(cfg, file_cfg)
-    if getattr(args, "desk_scale", False):
-        cfg = _deep_update(cfg, DESK_SCALE_OVERRIDES)
 
     flags: dict = {}
     if getattr(args, "nc", None) is not None:
@@ -128,8 +120,6 @@ def load_run_config(args) -> dict:
     if getattr(args, "seed", None) is not None:
         flags.setdefault("training", {})["seed"] = args.seed
         flags.setdefault("channel", {})["seed"] = args.seed
-    if getattr(args, "deterministic", False):
-        flags.setdefault("training", {})["deterministic"] = True
     if getattr(args, "delta", None) is not None:
         flags.setdefault("protocol", {})["delta"] = args.delta
     if getattr(args, "grid", None) is not None:
@@ -155,15 +145,11 @@ def _parse_delta(value) -> float | str:
 
 def _grid_values(grid: dict) -> list[float]:
     try:
-        start, stop, step = float(grid["start"]), float(grid["stop"]), float(grid["step"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"grid needs numeric start/stop/step, got {grid!r}") from None
-    if step <= 0:
-        raise ConfigError("grid step must be positive")
-    if stop < start:
-        raise ConfigError("grid stop must be >= start")
-    count = int(np.floor((stop - start) / step + 1e-9))
-    return [round(start + i * step, 10) for i in range(count + 1)]
+        return protocol.delta_grid(float(grid["start"]), float(grid["stop"]),
+                                   float(grid["step"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"grid needs numeric start <= stop and step > 0, got {grid!r} "
+                          f"({e})") from None
 
 
 def _int_field(section: dict, key: str, default: int) -> int:
@@ -214,13 +200,21 @@ def _cifar_path(cfg: dict):
     return None
 
 
+def _num_classes(cfg: dict) -> int:
+    """The class count of the configured dataset, as its loader produces it."""
+    ds = cfg["dataset"]
+    if ds["kind"] == "synthetic":
+        return int(ds.get("num_classes", 10))
+    return len(CIFAR10_CLASS_NAMES)
+
+
 def _arch_config(cfg: dict) -> ArchitectureConfig:
     a = cfg["arch"]
     return ArchitectureConfig(
         nc=int(a["nc"]),
         nc1=None if a.get("nc1") is None else int(a["nc1"]),
         nc2=None if a.get("nc2") is None else int(a["nc2"]),
-        num_classes=int(a.get("num_classes", 10)),
+        num_classes=_num_classes(cfg),
         decoder_hidden=None if a.get("decoder_hidden") is None else int(a["decoder_hidden"]),
     )
 
@@ -233,14 +227,13 @@ def _train_config(cfg: dict) -> TrainConfig:
         lr=float(t["lr"]),
         loss_weight=float(t["loss_weight"]),
         seed=int(t["seed"]),
-        deterministic=bool(t["deterministic"]),
     )
 
 
 def _load_dataset(cfg: dict) -> Dataset:
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        return make_synthetic(num_classes=int(ds.get("num_classes", 10)),
+        return make_synthetic(num_classes=_num_classes(cfg),
                               per_class=int(ds.get("per_class", 40)),
                               seed=int(ds.get("seed", 0)))
     return load_cifar10(_cifar_path(cfg))
@@ -441,8 +434,6 @@ def cmd_report(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, bundle: bool = False) -> None:
     p.add_argument("--config", help="JSON run configuration file")
-    p.add_argument("--desk-scale", action="store_true",
-                   help="small synthetic preset: 5 epochs, nc=4")
     p.add_argument("--output", "-o", help="output directory")
     p.add_argument("--nc", type=int, help="base channel-use budget")
     p.add_argument("--channel", choices=["awgn", "rayleigh"], help="channel kind")
@@ -452,9 +443,6 @@ def _add_common(p: argparse.ArgumentParser, bundle: bool = False) -> None:
     p.add_argument("--lr", type=float)
     p.add_argument("--loss-weight", type=float, help="round-1 loss weight w")
     p.add_argument("--seed", type=int, help="seeds training and channel streams")
-    p.add_argument("--deterministic", action="store_true",
-                   help="record training.deterministic=true in the bundle; every "
-                        "run is serial and seeded either way")
     p.add_argument("--data-dir", help=f"CIFAR-10 directory (or ${DATA_DIR_ENV})")
     if bundle:
         p.add_argument("--bundle", help="trained bundle directory "

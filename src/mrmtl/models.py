@@ -82,7 +82,6 @@ class TrainConfig:
     lr: float = 1e-3
     loss_weight: float = 0.5
     seed: int = 0
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -94,12 +93,7 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return {"epochs": self.epochs, "batch_size": self.batch_size, "lr": self.lr,
-                "loss_weight": self.loss_weight, "seed": self.seed,
-                "deterministic": self.deterministic}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
+                "loss_weight": self.loss_weight, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,6 @@ class DecoderOutput:
     probs: np.ndarray      # (num_classes,)
     predicted: int         # argmax, ties to the lowest class id
     confidence: float      # max probability
-    round_index: int       # 1 or 2
 
 
 @dataclass

@@ -14,7 +14,6 @@ from .layers import (
 from .loss import cross_entropy, cross_entropy_grad
 from .network import Network
 from .optim import Adam, NumericError
-from .gradcheck import GradCheckReport, gradcheck, relative_error
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "Dense",
     "Dropout",
     "Flatten",
-    "GradCheckReport",
     "Layer",
     "MaxPool2D",
     "Network",
@@ -32,10 +30,8 @@ __all__ = [
     "ShapeError",
     "cross_entropy",
     "cross_entropy_grad",
-    "gradcheck",
     "layer_from_config",
     "load_checkpoint",
-    "relative_error",
     "save_checkpoint",
     "softmax",
 ]

@@ -1,4 +1,4 @@
-"""Adam optimizer over one or more networks."""
+"""Adam optimizer over a list of networks."""
 
 from __future__ import annotations
 
@@ -27,9 +27,7 @@ class Adam:
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, nets) -> None:
-        """Apply one update to every parameter of the given network(s)."""
-        if not isinstance(nets, (list, tuple)):
-            nets = [nets]
+        """Apply one update to every parameter of the given list of networks."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

@@ -135,7 +135,6 @@ def apply_threshold(cache: RoundCache, delta: float) -> list[ProtocolTrace]:
             probs=cache.round1_probs[i],
             predicted=int(cache.round1_pred[i]),
             confidence=conf,
-            round_index=1,
         )
         r2 = None
         if escalated:
@@ -143,7 +142,6 @@ def apply_threshold(cache: RoundCache, delta: float) -> list[ProtocolTrace]:
                 probs=cache.round2_probs[i],
                 predicted=int(cache.round2_pred[i]),
                 confidence=float(cache.round2_probs[i].max()),
-                round_index=2,
             )
         traces.append(ProtocolTrace(
             sample_index=i,
@@ -331,7 +329,17 @@ def sweep_threshold(model: MrmtlModel, split: Split, delta_grid, channel_cfg: Ch
     return sweep_from_cache(cache, grid)
 
 
+def delta_grid(start: float, stop: float, step: float) -> list[float]:
+    """Thresholds start to stop inclusive at the given step, rounded to 10
+    decimals so that 0.7 is written as 0.7, not 0.7000000000000001."""
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    if stop < start:
+        raise ValueError("grid stop must be >= start")
+    count = int(np.floor((stop - start) / step + 1e-9))
+    return [round(start + i * step, 10) for i in range(count + 1)]
+
+
 def default_delta_grid(step: float = 0.02) -> list[float]:
     """Thresholds 0 to 1 inclusive at the given step."""
-    count = int(round(1.0 / step))
-    return [i * step for i in range(count + 1)]
+    return delta_grid(0.0, 1.0, step)

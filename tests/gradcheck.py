@@ -1,4 +1,8 @@
-"""Finite-difference verification of analytic gradients."""
+"""Finite-difference verification of analytic gradients.
+
+A test helper, not part of the package: test_nn.py and acceptance
+criterion 5 hold every layer kind's backward pass to it.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss import cross_entropy, cross_entropy_grad
-from .network import Network
+from mrmtl.nn import Network, cross_entropy, cross_entropy_grad
 
 
 @dataclass

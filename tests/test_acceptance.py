@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import gradcheck, relative_error
 from test_protocol import random_cache
 
 from mrmtl import cli, nn
@@ -277,7 +278,7 @@ def _joint_fd_worst(seed: int, h: float = 1e-6) -> float:
                                   rng=eval_rng())[0]
                 flat[i] = orig
                 fd = (up - down) / (2.0 * h)
-                worst = max(worst, nn.relative_error(gflat[i], fd))
+                worst = max(worst, relative_error(gflat[i], fd))
     return worst
 
 
@@ -295,10 +296,10 @@ def test_criterion_5_gradient_checks(verdict):
             data = np.random.default_rng(seed + 500)
             x = data.random((3, *net.input_shape))
             labels = data.integers(0, k, size=3)
-            report = nn.gradcheck(net, x, labels, tolerance=1e-4, seed=seed)
+            report = gradcheck(net, x, labels, tolerance=1e-4, seed=seed)
             if not report.passed:
-                report = nn.gradcheck(net, x, labels, tolerance=1e-4,
-                                      step=1e-7, seed=seed)
+                report = gradcheck(net, x, labels, tolerance=1e-4,
+                                   step=1e-7, seed=seed)
             worst_kind[kind] = max(worst_kind.get(kind, 0.0), report.worst)
 
     joint_worsts = []
@@ -451,9 +452,8 @@ def test_criterion_9_deterministic_artifacts(verdict, tmp_path):
 
     def run_once() -> dict:
         assert cli.main(["train", "--config", str(cfg_path), "--mode", "mrmtl",
-                         "--deterministic", "--seed", "5"]) == 0
-        assert cli.main(["evaluate", "--config", str(cfg_path),
-                         "--deterministic", "--seed", "5"]) == 0
+                         "--seed", "5"]) == 0
+        assert cli.main(["evaluate", "--config", str(cfg_path), "--seed", "5"]) == 0
         return {str(p.relative_to(base)): p.read_bytes()
                 for p in sorted(base.rglob("*")) if p.is_file()}
 

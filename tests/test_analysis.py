@@ -1,4 +1,4 @@
-"""Reporting layer: confusion counting, CSV/JSON artifacts, comparisons."""
+"""Reporting layer: confusion counting, CSV/JSON artifacts, charts."""
 
 import json
 import xml.etree.ElementTree as ET
@@ -11,7 +11,6 @@ from mrmtl.analysis import (
     ConfusionMatrix,
     build_report,
     calibration_to_dict,
-    compare_srstl_mrmtl,
     confusion,
     emit_report,
     read_confusion_csv,
@@ -34,12 +33,12 @@ from test_protocol import crafted_cache, random_cache
 class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
         labels = np.array([0, 1, 2, 2, 3])
-        m = confusion(labels, num_classes=4, true_labels=labels)
+        m = confusion(labels, labels, 4, None)
         assert np.array_equal(m.counts, np.diag([1, 1, 2, 1]))
         assert m.accuracy() == 1.0
 
     def test_single_error_cell(self):
-        m = confusion(np.array([7]), num_classes=10, true_labels=np.array([3]))
+        m = confusion(np.array([7]), np.array([3]), 10, None)
         assert m.counts[3, 7] == 1
         assert int(m.counts.sum()) == 1
         assert m.accuracy() == 0.0
@@ -47,28 +46,30 @@ class TestConfusion:
     def test_accuracy_matches_task_accuracy_exactly(self):
         cache = random_cache(seed=20)
         traces = apply_threshold(cache, 0.4)
-        m = confusion(traces, num_classes=10)
+        m = confusion([t.final_predicted for t in traces], [t.true_label for t in traces],
+                      10, None)
         assert m.accuracy() == task_accuracy(traces)
 
     def test_traces_use_final_predictions(self):
         cache = crafted_cache([0.2], [1], [8], [8])
-        m = confusion(apply_threshold(cache, 0.5), num_classes=10)
+        traces = apply_threshold(cache, 0.5)
+        m = confusion([t.final_predicted for t in traces], [t.true_label for t in traces],
+                      10, None)
         assert m.counts[8, 8] == 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            confusion(np.array([10]), num_classes=10, true_labels=np.array([0]))
+            confusion(np.array([10]), np.array([0]), 10, None)
         with pytest.raises(ValueError, match="out of range"):
-            confusion(np.array([0]), num_classes=10, true_labels=np.array([-1]))
+            confusion(np.array([0]), np.array([-1]), 10, None)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            confusion(np.array([0, 1]), num_classes=10, true_labels=np.array([0]))
+            confusion(np.array([0, 1]), np.array([0]), 10, None)
 
     def test_class_names_length_checked(self):
         with pytest.raises(ValueError, match="class_names"):
-            confusion(np.array([0]), num_classes=10, class_names=["a"],
-                      true_labels=np.array([0]))
+            confusion(np.array([0]), np.array([0]), 10, ["a"])
 
     def test_normalized_rows(self):
         m = ConfusionMatrix(counts=np.array([[2, 2], [0, 0]]), class_names=["a", "b"])
@@ -123,7 +124,7 @@ class TestCsvRoundTrips:
 
     def test_confusion_roundtrip(self, tmp_path):
         cache = random_cache(seed=23)
-        m = confusion(apply_threshold(cache, 0.5), num_classes=10)
+        m = confusion(cache.round1_pred, cache.true_labels, 10, None)
         path = tmp_path / "confusion.csv"
         write_confusion_csv(m, path)
         back = read_confusion_csv(path)
@@ -219,44 +220,6 @@ class TestReports:
         assert doc["calibration"]["delta_star"] == 0.7
         standalone = json.loads((tmp_path / "calibration.json").read_text())
         assert standalone == doc["calibration"]
-
-
-class TestComparison:
-    def _inputs(self):
-        channel = {"kind": "awgn", "snr_db": 10.0, "seed": 0}
-        srstl = {"nc": 5, "accuracy_nc": 0.6, "accuracy_2nc": 0.7, "channel": channel}
-        mrmtl = {"nc1": 5, "nc2": 5, "round1_accuracy": 0.6, "round2_accuracy": 0.7,
-                 "channel": dict(channel)}
-        return srstl, mrmtl
-
-    def test_zero_gap_when_equal(self):
-        srstl, mrmtl = self._inputs()
-        rows = compare_srstl_mrmtl(srstl, mrmtl)
-        assert [r["channel_uses"] for r in rows] == [5, 10]
-        assert [r["head"] for r in rows] == ["round1", "round2"]
-        assert all(r["gap"] == 0.0 for r in rows)
-
-    def test_budget_mismatch_rejected(self):
-        srstl, mrmtl = self._inputs()
-        mrmtl["nc1"] = 4
-        with pytest.raises(ValueError, match="budget"):
-            compare_srstl_mrmtl(srstl, mrmtl)
-        srstl2, mrmtl2 = self._inputs()
-        mrmtl2["nc2"] = 6
-        with pytest.raises(ValueError, match="2nc"):
-            compare_srstl_mrmtl(srstl2, mrmtl2)
-
-    def test_channel_mismatch_rejected(self):
-        srstl, mrmtl = self._inputs()
-        mrmtl["channel"]["snr_db"] = 0.0
-        with pytest.raises(ValueError, match="channel"):
-            compare_srstl_mrmtl(srstl, mrmtl)
-
-    def test_gap_sign(self):
-        srstl, mrmtl = self._inputs()
-        mrmtl["round1_accuracy"] = 0.65
-        rows = compare_srstl_mrmtl(srstl, mrmtl)
-        assert abs(rows[0]["gap"] - 0.05) < 1e-12
 
 
 class TestCharts:

@@ -18,6 +18,7 @@ from mrmtl.cli import (
     load_run_config,
     validate_config,
 )
+from mrmtl.protocol import default_delta_grid
 
 
 def ns(**kwargs) -> types.SimpleNamespace:
@@ -29,7 +30,7 @@ RUN_CONFIG = {
     "channel": {"kind": "awgn", "snr_db": 10.0, "seed": 3},
     "arch": {"nc": 2},
     "training": {"epochs": 1, "batch_size": 16, "lr": 1e-3, "loss_weight": 0.5,
-                 "seed": 5, "deterministic": True},
+                 "seed": 5},
     "protocol": {"delta": "auto", "grid": {"start": 0.0, "stop": 1.0, "step": 0.1},
                  "num_bins": 20, "calibration_split": "test"},
 }
@@ -72,15 +73,6 @@ class TestConfigMerging:
         cfg = load_run_config(ns(seed=77))
         assert cfg["training"]["seed"] == 77
         assert cfg["channel"]["seed"] == 77
-
-    def test_desk_scale_preset(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dataset": {"per_class": 999},
-                                    "training": {"epochs": 50}}))
-        cfg = load_run_config(ns(config=str(path), desk_scale=True))
-        assert cfg["dataset"]["per_class"] == 40
-        assert cfg["training"]["epochs"] == 5
-        assert cfg["arch"]["nc"] == 4
 
     def test_grid_flag_parsed(self):
         cfg = load_run_config(ns(grid="0:0.5:0.25"))
@@ -168,6 +160,9 @@ class TestParsers:
         assert _grid_values({"start": 0.0, "stop": 1.0, "step": 0.1}) == [
             0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
+    def test_grid_values_default_grid_is_the_library_grid(self):
+        assert _grid_values({"start": 0, "stop": 1, "step": 0.02}) == default_delta_grid()
+
     def test_grid_values_singleton(self):
         assert _grid_values({"start": 0.5, "stop": 0.5, "step": 0.1}) == [0.5]
 
@@ -216,6 +211,21 @@ class TestTrainCommand:
         path.write_text(json.dumps(bad))
         assert cli.main([command, "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_class_count_comes_from_the_dataset(self, tmp_path, capsys):
+        # a stale arch.num_classes is ignored like any other unused key
+        cfg = json.loads(json.dumps(RUN_CONFIG))
+        cfg["dataset"]["num_classes"] = 3
+        cfg["arch"]["num_classes"] = 5
+        cfg["output_dir"] = str(tmp_path / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.main(["evaluate", "--config", str(path), "--delta", "0.5"]) == 0
+        manifest = json.loads((tmp_path / "run" / "mrmtl" / "bundle.json").read_text())
+        assert manifest["architecture"]["num_classes"] == 3
+        header = (tmp_path / "run" / "report" / "confusion_round1.csv").read_text()
+        assert header.splitlines()[0] == "true_class,class_0,class_1,class_2"
 
 
 class TestCalibrateCommand:
@@ -305,6 +315,21 @@ class TestEvaluateCommand:
     def test_exit_2_on_bad_delta(self, trained_run, tmp_path, capsys):
         code, _ = self._evaluate(trained_run, tmp_path, "--delta", "5")
         assert code == 2
+
+    def test_bundle_recording_deterministic_still_loads(self, trained_run, tmp_path,
+                                                        capsys):
+        # bundles written before the knob went away record training.deterministic
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained_run["out"] / "mrmtl", bundle)
+        manifest = json.loads((bundle / "bundle.json").read_text())
+        manifest["training"]["deterministic"] = True
+        (bundle / "bundle.json").write_text(json.dumps(manifest))
+        code_a, dir_a = self._evaluate(trained_run, tmp_path / "a", "--delta", "0.5",
+                                       "--bundle", str(bundle))
+        code_b, dir_b = self._evaluate(trained_run, tmp_path / "b", "--delta", "0.5")
+        assert code_a == code_b == 0
+        for name in ("traces.csv", "sweep.csv", "confusion_round2.csv"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
 class TestCorruptBundle:

@@ -56,9 +56,8 @@ class TestConfigs:
             TrainConfig(epochs=1, loss_weight=1.5)
 
     def test_train_config_dict_roundtrip(self):
-        cfg = TrainConfig(epochs=3, batch_size=16, lr=2e-3, loss_weight=0.25, seed=7,
-                          deterministic=False)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = TrainConfig(epochs=3, batch_size=16, lr=2e-3, loss_weight=0.25, seed=7)
+        assert TrainConfig(**cfg.to_dict()) == cfg
 
 
 class TestBuilders:
@@ -134,7 +133,6 @@ class TestDecoderOutput:
         for out in outputs:
             assert out.predicted == int(np.argmax(out.probs))
             assert out.confidence == float(np.max(out.probs))
-        assert {out.round_index for out in outputs} == {1, 2}
 
     def test_tie_breaks_to_lowest_class(self, split_small, awgn_cfg):
         # a zeroed softmax head ties every class; the verdict is class 0

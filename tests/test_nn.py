@@ -9,6 +9,7 @@ below.
 import numpy as np
 import pytest
 
+from gradcheck import gradcheck
 from mrmtl import nn
 
 # ---------------------------------------------------------------------------
@@ -482,7 +483,7 @@ def test_adam_zero_gradient_freezes_parameters():
     net, layer = _one_param_layer()
     layer.grads = {"w": np.zeros((1, 1)), "b": np.zeros(1)}
     before = layer.params["w"].copy()
-    nn.Adam(lr=0.1).step(net)
+    nn.Adam(lr=0.1).step([net])
     assert np.array_equal(layer.params["w"], before)
 
 
@@ -490,7 +491,7 @@ def test_adam_zero_lr_freezes_parameters():
     net, layer = _one_param_layer()
     layer.grads = {"w": np.ones((1, 1)), "b": np.ones(1)}
     before = layer.params["w"].copy()
-    nn.Adam(lr=0.0).step(net)
+    nn.Adam(lr=0.0).step([net])
     assert np.array_equal(layer.params["w"], before)
 
 
@@ -500,7 +501,7 @@ def test_adam_first_step_magnitude():
     layer.grads = {"w": np.ones((1, 1)), "b": np.zeros(1)}
     lr = 0.01
     before = float(layer.params["w"][0, 0])
-    nn.Adam(lr=lr).step(net)
+    nn.Adam(lr=lr).step([net])
     delta = float(layer.params["w"][0, 0]) - before
     assert abs(delta + lr) < 1e-8 * lr + 1e-12
 
@@ -521,7 +522,7 @@ def test_adam_in_place_moments_match_out_of_place_formula():
             m[n] = b1 * m[n] + (1.0 - b1) * g
             v[n] = b2 * v[n] + (1.0 - b2) * g * g
             want[n] -= lr * (m[n] / (1.0 - b1 ** t)) / (np.sqrt(v[n] / (1.0 - b2 ** t)) + eps)
-        opt.step(net)
+        opt.step([net])
         for n, p in net.param_items():
             assert np.array_equal(p, want[n]), (t, n)
 
@@ -530,7 +531,7 @@ def test_adam_rejects_non_finite_gradient():
     net, layer = _one_param_layer()
     layer.grads = {"w": np.array([[np.nan]]), "b": np.zeros(1)}
     with pytest.raises(nn.NumericError, match="layer0.w"):
-        nn.Adam().step(net)
+        nn.Adam().step([net])
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +542,14 @@ def test_gradcheck_linear_net_passes_tight():
     rng = np.random.default_rng(0)
     net = nn.Network([nn.Dense(3, 2, "softmax", rng=rng)], (3,))
     x = np.random.default_rng(1).normal(size=(2, 3))
-    report = nn.gradcheck(net, x, np.array([0, 1]), tolerance=1e-5)
+    report = gradcheck(net, x, np.array([0, 1]), tolerance=1e-5)
     assert report.passed, report.max_rel_error
 
 
 def test_gradcheck_full_layer_mix():
     net = _tiny_net(seed=3)
     x = np.random.default_rng(4).normal(size=(2, 2, 4, 4))
-    report = nn.gradcheck(net, x, np.array([1, 4]), tolerance=1e-4)
+    report = gradcheck(net, x, np.array([1, 4]), tolerance=1e-4)
     assert report.passed, report.max_rel_error
 
 
@@ -563,7 +564,7 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch):
         return dx
 
     monkeypatch.setattr(nn.Dense, "backward", corrupted)
-    report = nn.gradcheck(net, x, np.array([1, 4]), tolerance=1e-4)
+    report = gradcheck(net, x, np.array([1, 4]), tolerance=1e-4)
     assert not report.passed
 
 
@@ -571,7 +572,7 @@ def test_gradcheck_zero_tolerance_fails():
     rng = np.random.default_rng(0)
     net = nn.Network([nn.Dense(3, 2, "softmax", rng=rng)], (3,))
     x = np.random.default_rng(1).normal(size=(2, 3))
-    report = nn.gradcheck(net, x, np.array([0, 1]), tolerance=0.0)
+    report = gradcheck(net, x, np.array([0, 1]), tolerance=0.0)
     assert not report.passed
 
 

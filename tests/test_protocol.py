@@ -114,9 +114,7 @@ class TestThresholdRule:
         (trace,) = apply_threshold(cache, 0.5)
         assert trace.sample_index == 0
         assert trace.round1.predicted == 2
-        assert trace.round1.round_index == 1
         assert trace.round2.predicted == 7
-        assert trace.round2.round_index == 2
         assert trace.final_predicted == 7
         assert trace.true_label == 7
         assert trace.delay == 10
