@@ -168,15 +168,17 @@ def validate_config(cfg: dict) -> None:
     ds = cfg["dataset"]
     kind = ds.get("kind")
     if kind == "synthetic":
-        if _int_field(ds, "num_classes", 10) < 2 or _int_field(ds, "per_class", 1) < 1:
-            raise ConfigError("synthetic dataset needs num_classes >= 2, per_class >= 1")
-        _int_field(ds, "seed", 0)
+        if _int_field(ds, "num_classes", 10) < 2 or _int_field(ds, "per_class", 2) < 2:
+            raise ConfigError("synthetic dataset needs num_classes >= 2, per_class >= 2")
     elif kind == "cifar10":
         if _cifar_path(cfg) is None:
             raise ConfigError(
                 f"cifar10 dataset needs a path (dataset.path, --data-dir, or ${DATA_DIR_ENV})")
     else:
         raise ConfigError(f"unknown dataset kind: {kind!r}")
+    for section in ("dataset", "channel", "training"):
+        if _int_field(cfg[section], "seed", 0) < 0:
+            raise ConfigError(f"{section}.seed must be >= 0")
     try:
         ChannelConfig.from_dict(cfg["channel"])
         _arch_config(cfg)

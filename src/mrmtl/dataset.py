@@ -104,8 +104,8 @@ def make_synthetic(num_classes: int, per_class: int, seed: int) -> Dataset:
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
+    if per_class < 2:
+        raise ValueError(f"per_class must be >= 2, got {per_class}")
     rng = np.random.default_rng(seed)
     class_rng = np.random.default_rng(np.random.SeedSequence([seed, 9151]))
     colors = 0.25 + 0.75 * class_rng.random((num_classes, 3))

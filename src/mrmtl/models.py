@@ -163,7 +163,7 @@ def build_encoder(out_size: int, seed: int, input_shape=(3, 32, 32)) -> nn.Netwo
 
 
 def build_decoder(in_size: int, hidden: int, seed: int, num_classes: int = 10) -> nn.Network:
-    """Dense(in_size, ReLU), Dropout 0.1, Dense(hidden, ReLU), SoftMax head."""
+    """Dense(in_size, ReLU), Dropout 0.1, Dense(hidden, ReLU), logits head."""
     if in_size < 1 or hidden < 1:
         raise ValueError("decoder sizes must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
@@ -171,7 +171,7 @@ def build_decoder(in_size: int, hidden: int, seed: int, num_classes: int = 10) -
         nn.Dense(in_size, in_size, "relu", rng=rng),
         nn.Dropout(0.1),
         nn.Dense(in_size, hidden, "relu", rng=rng),
-        nn.Dense(hidden, num_classes, "softmax", rng=rng),
+        nn.Dense(hidden, num_classes, "linear", rng=rng),
     ], (in_size,))
 
 
@@ -197,17 +197,18 @@ def _forward(model, images, draw1: ChannelDraw, draw2: ChannelDraw | None = None
              train: bool = False, rng=None):
     """The receiver's two rounds over one batch; returns (probs1, probs2, caches).
 
-    Runs encoder1, encoder2, decoder1, decoder2 in that order, so dropout
+    Each head's probabilities are the softmax of its decoder's logits. Runs
+    encoder1, encoder2, decoder1, decoder2 in that order, so dropout
     draws from rng in the order training records them. Decoder 2 sees
     [r1, r2], with r1 reused exactly as received. Round 2 is skipped when
     draw2 is None, and its probs and cache are then None.
     """
     r1, cache1 = _transmit_batch(model.encoder1, images, draw1, train, rng)
     if draw2 is None:
-        return model.decoder1.forward(r1, train, rng), None, (cache1, None)
+        return nn.softmax(model.decoder1.forward(r1, train, rng)), None, (cache1, None)
     r2, cache2 = _transmit_batch(model.encoder2, images, draw2, train, rng)
-    probs1 = model.decoder1.forward(r1, train, rng)
-    probs2 = model.decoder2.forward(np.concatenate([r1, r2], axis=1), train, rng)
+    probs1 = nn.softmax(model.decoder1.forward(r1, train, rng))
+    probs2 = nn.softmax(model.decoder2.forward(np.concatenate([r1, r2], axis=1), train, rng))
     return probs1, probs2, (cache1, cache2)
 
 

@@ -11,7 +11,7 @@ backward pass needs when run in training mode:
 - MaxPool2D: a boolean mask over the input marking the first maximum of
   each window in row-major order.
 - Dropout: the scaled keep mask. Flatten: the input shape.
-- Dense: the input, the pre-activation and the output.
+- Dense: the input and the pre-activation.
 
 A cache lives until the owning network's next forward pass, which drops
 every layer's cache before it starts; backward reads it without consuming
@@ -29,7 +29,7 @@ class ShapeError(ValueError):
     """Input or chained shape incompatible with a layer."""
 
 
-ACTIVATIONS = ("relu", "linear", "softmax")
+ACTIVATIONS = ("relu", "linear")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -311,7 +311,7 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    """Fully connected layer with relu, linear, or softmax activation."""
+    """Fully connected layer with relu or linear activation."""
 
     kind = "dense"
 
@@ -338,27 +338,15 @@ class Dense(Layer):
 
     def forward(self, x, train, rng):
         pre = x @ self.params["w"] + self.params["b"]
-        if self.activation == "relu":
-            out = np.maximum(pre, 0.0)
-        elif self.activation == "softmax":
-            out = softmax(pre)
-        else:
-            out = pre
+        out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
         if train:
-            self._cache = (x, pre, out)
+            self._cache = (x, pre)
         return out
 
     def backward(self, dout):
         self._require_cache()
-        x, pre, out = self._cache
-        if self.activation == "relu":
-            dpre = dout * (pre > 0.0)
-        elif self.activation == "softmax":
-            # J^T g with J = diag(p) - p p^T, rows independent.
-            inner = (dout * out).sum(axis=-1, keepdims=True)
-            dpre = out * (dout - inner)
-        else:
-            dpre = dout
+        x, pre = self._cache
+        dpre = dout * (pre > 0.0) if self.activation == "relu" else dout
         self.grads = {"w": x.T @ dpre, "b": dpre.sum(axis=0)}
         return dpre @ self.params["w"].T
 
@@ -376,6 +364,10 @@ def layer_from_config(cfg: dict, rng=None) -> Layer:
     if kind not in LAYER_KINDS:
         raise ValueError(f"unknown layer kind: {kind!r}")
     kwargs = {k: v for k, v in cfg.items() if k != "kind"}
+    if kind == "dense" and kwargs.get("activation") == "softmax":
+        # Decoders once ended in a softmax Dense; they now emit logits and the
+        # caller applies softmax, so such a head is the same layer, linear.
+        kwargs["activation"] = "linear"
     cls = LAYER_KINDS[kind]
     if cls in (Conv2D, Dense):
         kwargs["rng"] = rng

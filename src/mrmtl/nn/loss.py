@@ -1,4 +1,9 @@
-"""Categorical cross-entropy over probability vectors."""
+"""Categorical cross-entropy of a softmax head.
+
+Networks emit logits z and the caller applies softmax, p = softmax(z). The
+loss is read off the probabilities, and its gradient is taken with respect to
+the logits, where softmax and cross-entropy fuse into (p - onehot) / B.
+"""
 
 from __future__ import annotations
 
@@ -8,18 +13,9 @@ EPS = 1e-12
 
 
 def cross_entropy(probs: np.ndarray, labels) -> float:
-    """Mean of -log(probs[label] + eps) over the batch.
-
-    Accepts a single probability vector with an int label, or a (B, K)
-    matrix with a length-B label array.
-    """
+    """Mean of -log(probs[label] + eps) over a (B, K) batch with B labels."""
     probs = np.asarray(probs, dtype=np.float64)
-    single = probs.ndim == 1
-    if single:
-        probs = probs[None, :]
-        labels = np.asarray([labels])
-    else:
-        labels = np.asarray(labels)
+    labels = np.asarray(labels)
     K = probs.shape[1]
     if labels.min() < 0 or labels.max() >= K:
         raise ValueError(f"label out of range for {K} classes")
@@ -28,16 +24,9 @@ def cross_entropy(probs: np.ndarray, labels) -> float:
 
 
 def cross_entropy_grad(probs: np.ndarray, labels) -> np.ndarray:
-    """d(mean CE)/d(probs), same shape as probs."""
+    """d(mean CE)/d(logits) for p = softmax(logits): (p - onehot) / B."""
     probs = np.asarray(probs, dtype=np.float64)
-    single = probs.ndim == 1
-    if single:
-        probs = probs[None, :]
-        labels = np.asarray([labels])
-    else:
-        labels = np.asarray(labels)
     B = probs.shape[0]
-    grad = np.zeros_like(probs)
-    picked = probs[np.arange(B), labels]
-    grad[np.arange(B), labels] = -1.0 / (picked + EPS) / B
-    return grad[0] if single else grad
+    grad = probs / B
+    grad[np.arange(B), labels] -= 1.0 / B
+    return grad

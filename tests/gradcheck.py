@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mrmtl.nn import Network, cross_entropy, cross_entropy_grad
+from mrmtl.nn import Network, cross_entropy, cross_entropy_grad, softmax
 
 
 @dataclass
@@ -40,6 +40,8 @@ def gradcheck(net: Network, x: np.ndarray, labels, tolerance: float = 1e-4,
               step: float = 1e-6, seed: int = 0) -> GradCheckReport:
     """Compare backward() against central finite differences of the CE loss.
 
+    The network emits logits; the loss is the cross-entropy of their softmax.
+
     Every loss evaluation recreates the rng from the same seed, so stochastic
     layers (dropout) see identical masks across probes and the loss is a
     deterministic function of the parameters. Intended for small networks:
@@ -48,10 +50,10 @@ def gradcheck(net: Network, x: np.ndarray, labels, tolerance: float = 1e-4,
     x = np.asarray(x, dtype=np.float64)
 
     def loss_value() -> float:
-        probs = net.forward(x, train=True, rng=np.random.default_rng(seed))
+        probs = softmax(net.forward(x, train=True, rng=np.random.default_rng(seed)))
         return cross_entropy(probs, labels)
 
-    probs = net.forward(x, train=True, rng=np.random.default_rng(seed))
+    probs = softmax(net.forward(x, train=True, rng=np.random.default_rng(seed)))
     net.backward(cross_entropy_grad(probs, labels))
     analytic = {name: g.copy() for name, g in net.grad_items()}
 

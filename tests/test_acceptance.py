@@ -177,7 +177,7 @@ def test_criterion_4_monotone_delay_nested_sets(verdict, head_cache):
 
 
 def _kind_nets(seed: int) -> dict:
-    """One small network per layer kind, each with a probability head.
+    """One small network per layer kind, each with a logits head.
 
     The pooled branch uses a linear conv so pooling picks among smooth,
     continuous values, and relu layers always see continuous inputs; exact
@@ -188,23 +188,23 @@ def _kind_nets(seed: int) -> dict:
         "conv2d": (nn.Network([
             nn.Conv2D(2, 3, 3, "relu", rng=rng),
             nn.Flatten(),
-            nn.Dense(48, 4, "softmax", rng=rng)], (2, 4, 4)), 4),
+            nn.Dense(48, 4, "linear", rng=rng)], (2, 4, 4)), 4),
         "maxpool2d": (nn.Network([
             nn.Conv2D(1, 2, 3, "linear", rng=rng),
             nn.MaxPool2D(2),
             nn.Flatten(),
-            nn.Dense(8, 3, "softmax", rng=rng)], (1, 4, 4)), 3),
+            nn.Dense(8, 3, "linear", rng=rng)], (1, 4, 4)), 3),
         "dropout": (nn.Network([
             nn.Dense(5, 6, "relu", rng=rng),
             nn.Dropout(0.3),
-            nn.Dense(6, 4, "softmax", rng=rng)], (5,)), 4),
+            nn.Dense(6, 4, "linear", rng=rng)], (5,)), 4),
         "flatten": (nn.Network([
             nn.Flatten(),
-            nn.Dense(18, 4, "softmax", rng=rng)], (2, 3, 3)), 4),
+            nn.Dense(18, 4, "linear", rng=rng)], (2, 3, 3)), 4),
         "dense": (nn.Network([
             nn.Dense(5, 6, "relu", rng=rng),
             nn.Dense(6, 5, "linear", rng=rng),
-            nn.Dense(5, 4, "softmax", rng=rng)], (5,)), 4),
+            nn.Dense(5, 4, "linear", rng=rng)], (5,)), 4),
     }
 
 
@@ -224,7 +224,7 @@ def _tiny_joint_model(seed: int) -> MrmtlModel:
         return nn.Network([
             nn.Dense(in_size, 4, "relu", rng=rng),
             nn.Dropout(0.1),
-            nn.Dense(4, 3, "softmax", rng=rng),
+            nn.Dense(4, 3, "linear", rng=rng),
         ], (in_size,))
 
     model = MrmtlModel(

@@ -205,12 +205,23 @@ class TestTrainCommand:
                      id="per-class-not-numeric"),
         pytest.param({"output_dir": 7}, id="output-dir-not-path"),
         pytest.param({"dataset": {"kind": "cifar10", "path": 5}}, id="data-path-not-path"),
+        pytest.param({"dataset": {"kind": "synthetic", "num_classes": 3, "per_class": 1}},
+                     id="per-class-one"),
+        pytest.param({"dataset": {"seed": -1}}, id="negative-dataset-seed"),
+        pytest.param({"channel": {"seed": -1}}, id="negative-channel-seed"),
+        pytest.param({"training": {"seed": -1}}, id="negative-training-seed"),
     ])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, command, bad):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(bad))
         assert cli.main([command, "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--seed", "-1", "--output", str(out)]) == 2
+        assert "channel.seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_class_count_comes_from_the_dataset(self, tmp_path, capsys):
         # a stale arch.num_classes is ignored like any other unused key

@@ -96,6 +96,12 @@ class TestMakeSynthetic:
             make_synthetic(1, 10, 0)
         with pytest.raises(ValueError):
             make_synthetic(10, 0, 0)
+        with pytest.raises(ValueError, match="per_class"):
+            make_synthetic(3, 1, 0)  # would leave the training split empty
+
+    def test_smallest_per_class_fills_both_splits(self):
+        ds = make_synthetic(3, 2, 0)
+        assert len(ds.train) == 3 and len(ds.test) == 3
 
 
 class TestBatches:

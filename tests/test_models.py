@@ -105,7 +105,7 @@ class TestBuilders:
         assert net.layers[0].activation == "relu"
         assert net.layers[1].rate == 0.1
         assert net.layers[2].out_size == 5 and net.layers[2].activation == "relu"
-        assert net.layers[3].out_size == 10 and net.layers[3].activation == "softmax"
+        assert net.layers[3].out_size == 10 and net.layers[3].activation == "linear"
         assert net.input_shape == (5,)
         assert net.output_shape == (10,)
 
@@ -135,7 +135,7 @@ class TestDecoderOutput:
             assert out.confidence == float(np.max(out.probs))
 
     def test_tie_breaks_to_lowest_class(self, split_small, awgn_cfg):
-        # a zeroed softmax head ties every class; the verdict is class 0
+        # a zeroed logits head ties every class; the verdict is class 0
         model = small_mrmtl(seed=10)
         for param in model.decoder1.layers[-1].params.values():
             param[...] = 0.0
@@ -310,8 +310,8 @@ class TestInference:
 
         r1, _ = power_norm_forward(mrmtl_small.encoder1.forward(split.images))
         r2, _ = power_norm_forward(mrmtl_small.encoder2.forward(split.images))
-        want1 = mrmtl_small.decoder1.forward(r1)
-        want2 = mrmtl_small.decoder2.forward(np.concatenate([r1, r2], axis=1))
+        want1 = nn.softmax(mrmtl_small.decoder1.forward(r1))
+        want2 = nn.softmax(mrmtl_small.decoder2.forward(np.concatenate([r1, r2], axis=1)))
         assert np.array_equal(cache.round1_probs, want1)
         assert np.array_equal(cache.round2_probs, want2)
 
@@ -416,6 +416,35 @@ class TestBundles:
         for (na, pa), (nb, pb) in zip(model.encoder1.param_items(),
                                       loaded.encoder1.param_items()):
             assert np.array_equal(pa, pb)
+
+    def test_softmax_head_checkpoints_still_load(self, tmp_path, split_small, awgn_cfg):
+        # decoders written before the logits head end in a dense softmax
+        # layer; such a bundle must evaluate exactly like the current one
+        import json
+        import struct
+
+        model = small_mrmtl(seed=13)
+        new, old = tmp_path / "new", tmp_path / "old"
+        for out in (new, old):
+            save_bundle(model, out, self._arch(), ChannelConfig(seed=0),
+                        TrainConfig(epochs=0), "fp")
+        for part in ("decoder1", "decoder2"):
+            path = old / f"{part}.ckpt"
+            data = path.read_bytes()
+            (hlen,) = struct.unpack("<I", data[:4])
+            header = json.loads(data[4:4 + hlen])
+            assert header["architecture"]["layers"][-1]["activation"] == "linear"
+            header["architecture"]["layers"][-1]["activation"] = "softmax"
+            blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+            path.write_bytes(struct.pack("<I", len(blob)) + blob + data[4 + hlen:])
+        split = split_small.subset(np.arange(40))
+        caches = [evaluate_rounds(load_bundle(d)[0], split, awgn_cfg,
+                                  np.random.default_rng(5)) for d in (new, old)]
+        for field in ("true_labels", "round1_probs", "round1_pred", "round1_conf",
+                      "round2_probs", "round2_pred"):
+            a, b = (getattr(c, field) for c in caches)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert (caches[0].nc1, caches[0].nc2) == (caches[1].nc1, caches[1].nc2)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(BundleError, match="bundle.json"):

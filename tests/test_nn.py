@@ -349,7 +349,7 @@ def _tiny_net(seed=0, with_dropout=True):
     ]
     if with_dropout:
         layers.append(nn.Dropout(0.2))
-    layers.append(nn.Dense(8, 5, "softmax", rng=rng))
+    layers.append(nn.Dense(8, 5, "linear", rng=rng))
     return nn.Network(layers, (2, 4, 4))
 
 
@@ -407,9 +407,10 @@ def test_inference_forward_is_deterministic():
 
 
 def test_network_output_is_probability_vector():
+    # the network emits logits; their softmax is one probability row per input
     net = _tiny_net()
     x = np.random.default_rng(2).normal(size=(6, 2, 4, 4))
-    probs = net.forward(x)
+    probs = nn.softmax(net.forward(x))
     assert probs.shape == (6, 5)
     assert np.all(probs >= 0.0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
@@ -420,27 +421,27 @@ def test_network_output_is_probability_vector():
 
 
 def test_cross_entropy_one_hot():
-    probs = np.zeros(10)
-    probs[3] = 1.0
-    assert abs(nn.cross_entropy(probs, 3)) < 1e-9
+    probs = np.zeros((2, 10))
+    probs[0, 3] = probs[1, 7] = 1.0
+    assert abs(nn.cross_entropy(probs, [3, 7])) < 1e-9
 
 
 def test_cross_entropy_uniform():
-    probs = np.full(10, 0.1)
-    assert abs(nn.cross_entropy(probs, 0) - np.log(10.0)) < 1e-9
+    probs = np.full((3, 10), 0.1)
+    assert abs(nn.cross_entropy(probs, [0, 4, 9]) - np.log(10.0)) < 1e-9
 
 
 def test_cross_entropy_zero_probability_is_finite():
-    probs = np.zeros(10)
-    probs[0] = 1.0
-    value = nn.cross_entropy(probs, 5)
+    probs = np.zeros((1, 10))
+    probs[0, 0] = 1.0
+    value = nn.cross_entropy(probs, [5])
     assert np.isfinite(value)
     assert abs(value - (-np.log(1e-12))) < 1e-6
 
 
 def test_cross_entropy_label_range():
     with pytest.raises(ValueError):
-        nn.cross_entropy(np.full(10, 0.1), 10)
+        nn.cross_entropy(np.full((1, 10), 0.1), [10])
     with pytest.raises(ValueError):
         nn.cross_entropy(np.full((2, 10), 0.1), [0, -1])
 
@@ -450,22 +451,24 @@ def test_cross_entropy_batch_mean():
     probs = rng.random((4, 6))
     probs /= probs.sum(axis=1, keepdims=True)
     labels = np.array([0, 2, 5, 1])
-    want = np.mean([nn.cross_entropy(probs[i], labels[i]) for i in range(4)])
+    want = np.mean([nn.cross_entropy(probs[i:i + 1], labels[i:i + 1]) for i in range(4)])
     assert abs(nn.cross_entropy(probs, labels) - want) < 1e-12
 
 
 def test_cross_entropy_grad_matches_fd():
+    # the gradient is with respect to the logits z, where p = softmax(z)
     rng = np.random.default_rng(8)
-    probs = rng.random(6) + 0.05
-    probs /= probs.sum()
-    label = 2
-    grad = nn.cross_entropy_grad(probs, label)
-    step = 1e-7
-    for i in range(6):
-        p_plus = probs.copy(); p_plus[i] += step
-        p_minus = probs.copy(); p_minus[i] -= step
-        fd = (nn.cross_entropy(p_plus, label) - nn.cross_entropy(p_minus, label)) / (2 * step)
-        assert abs(grad[i] - fd) < 1e-5
+    z = rng.normal(size=(3, 6))
+    labels = np.array([2, 0, 5])
+    grad = nn.cross_entropy_grad(nn.softmax(z), labels)
+    assert grad.shape == z.shape
+    step = 1e-6
+    for idx in np.ndindex(z.shape):
+        z_plus = z.copy(); z_plus[idx] += step
+        z_minus = z.copy(); z_minus[idx] -= step
+        fd = (nn.cross_entropy(nn.softmax(z_plus), labels)
+              - nn.cross_entropy(nn.softmax(z_minus), labels)) / (2 * step)
+        assert abs(grad[idx] - fd) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +543,7 @@ def test_adam_rejects_non_finite_gradient():
 
 def test_gradcheck_linear_net_passes_tight():
     rng = np.random.default_rng(0)
-    net = nn.Network([nn.Dense(3, 2, "softmax", rng=rng)], (3,))
+    net = nn.Network([nn.Dense(3, 2, "linear", rng=rng)], (3,))
     x = np.random.default_rng(1).normal(size=(2, 3))
     report = gradcheck(net, x, np.array([0, 1]), tolerance=1e-5)
     assert report.passed, report.max_rel_error
@@ -570,7 +573,7 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch):
 
 def test_gradcheck_zero_tolerance_fails():
     rng = np.random.default_rng(0)
-    net = nn.Network([nn.Dense(3, 2, "softmax", rng=rng)], (3,))
+    net = nn.Network([nn.Dense(3, 2, "linear", rng=rng)], (3,))
     x = np.random.default_rng(1).normal(size=(2, 3))
     report = gradcheck(net, x, np.array([0, 1]), tolerance=0.0)
     assert not report.passed
