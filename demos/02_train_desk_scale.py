@@ -44,9 +44,9 @@ print(f"\nsingle-round baseline, {arch.nc} symbols")
 _, base_log = train_srstl(dataset, arch, channel_cfg, train_cfg)
 print(f"  final test acc {base_log[-1]['test_accuracy']:.3f}")
 
-print(f"\nsingle-round baseline, {2 * arch.nc} symbols "
+print(f"\nsingle-round baseline, {arch.nc1 + arch.nc2} symbols "
       "(same budget as both rounds together)")
-_, wide_log = train_srstl(dataset, ArchitectureConfig(nc=2 * arch.nc),
+_, wide_log = train_srstl(dataset, ArchitectureConfig(nc=arch.nc1 + arch.nc2),
                           channel_cfg, train_cfg)
 print(f"  final test acc {wide_log[-1]['test_accuracy']:.3f}")
 

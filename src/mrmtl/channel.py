@@ -26,8 +26,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
-        if np.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "snr_db": self.snr_db, "seed": self.seed}

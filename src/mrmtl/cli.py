@@ -241,34 +241,34 @@ def _load_dataset(cfg: dict) -> Dataset:
     return load_cifar10(_cifar_path(cfg))
 
 
-def _require_bundle_dir(args, cfg: dict) -> Path:
-    bundle = getattr(args, "bundle", None) or str(Path(cfg["output_dir"]) / "mrmtl")
-    path = Path(bundle)
+def _bundle_setup(args) -> tuple[dict, MrmtlModel, dict, Dataset, ChannelConfig]:
+    """What calibrate, evaluate and sweep start from: the validated config, the
+    MRMTL bundle and its manifest, the dataset and the channel config."""
+    cfg = load_run_config(args)
+    validate_config(cfg)
+    path = Path(args.bundle or Path(cfg["output_dir"]) / "mrmtl")
     if not (path / "bundle.json").is_file():
         raise ConfigError(f"no trained bundle at {path}")
-    return path
-
-
-def _load_mrmtl_bundle(args, cfg: dict) -> tuple[MrmtlModel, dict, Path]:
-    path = _require_bundle_dir(args, cfg)
     model, manifest = load_bundle(path)
     if manifest["mode"] != "mrmtl":
         raise ConfigError(f"bundle at {path} is {manifest['mode']}, need mrmtl "
                           "for protocol evaluation")
-    return model, manifest, path
+    return cfg, model, manifest, _load_dataset(cfg), ChannelConfig.from_dict(cfg["channel"])
 
 
-def _calibration_samples(dataset: Dataset, cfg: dict):
+def _calibrate(model: MrmtlModel, dataset: Dataset, cfg: dict, channel_cfg: ChannelConfig):
+    """Calibrate δ* on the configured split and print the statistics."""
     split = cfg["protocol"].get("calibration_split", "test")
-    return dataset.train if split == "train" else dataset.test
-
-
-def _print_calibration(stats) -> None:
+    rng = np.random.default_rng([channel_cfg.seed, _CALIBRATE_STREAM])
+    stats = protocol.calibrate_threshold(
+        model, dataset.train if split == "train" else dataset.test, channel_cfg, rng,
+        num_bins=int(cfg["protocol"].get("num_bins", 50)))
     print(f"mean confidence (correct):   {stats.mean_conf_correct:.6f}")
     print(f"mean confidence (incorrect): {stats.mean_conf_incorrect:.6f}")
     print(f"delta_star:                  {stats.delta_star:.6f}")
     if not stats.separated:
         print("warning: correct-mean below incorrect-mean; threshold is unreliable")
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +292,10 @@ def cmd_train(args) -> int:
     if mode in ("srstl", "both"):
         jobs.append((f"srstl_nc{arch.nc1}", arch))
     if mode == "both":
-        # raw config value so an unset decoder width tracks the doubled budget
+        # the wide baseline spends both rounds' channel uses in one; the raw
+        # config value lets an unset decoder width track that budget
         raw_hidden = cfg["arch"].get("decoder_hidden")
-        arch2 = ArchitectureConfig(nc=2 * arch.nc, num_classes=arch.num_classes,
+        arch2 = ArchitectureConfig(nc=arch.nc1 + arch.nc2, num_classes=arch.num_classes,
                                    decoder_hidden=None if raw_hidden is None else int(raw_hidden))
         jobs.append((f"srstl_nc{arch2.nc1}", arch2))
 
@@ -315,44 +316,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_run_config(args)
-    validate_config(cfg)
-    model, manifest, _ = _load_mrmtl_bundle(args, cfg)
-    dataset = _load_dataset(cfg)
-    samples = _calibration_samples(dataset, cfg)
-    channel_cfg = ChannelConfig.from_dict(cfg["channel"])
-    rng = np.random.default_rng([channel_cfg.seed, _CALIBRATE_STREAM])
-    stats = protocol.calibrate_threshold(model, samples, channel_cfg, rng,
-                                         num_bins=int(cfg["protocol"].get("num_bins", 50)))
+    cfg, model, _, dataset, channel_cfg = _bundle_setup(args)
+    stats = _calibrate(model, dataset, cfg, channel_cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "calibration.json"
     path.write_text(json.dumps(analysis.calibration_to_dict(stats),
                                indent=2, sort_keys=True) + "\n")
-    _print_calibration(stats)
     print(f"calibration written: {path}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_run_config(args)
-    validate_config(cfg)
-    model, manifest, _ = _load_mrmtl_bundle(args, cfg)
-    dataset = _load_dataset(cfg)
-    channel_cfg = ChannelConfig.from_dict(cfg["channel"])
-
+    cfg, model, manifest, dataset, channel_cfg = _bundle_setup(args)
     if dataset_fingerprint(dataset) != manifest.get("dataset_fingerprint"):
         print("note: evaluation dataset differs from the bundle's training data")
 
     delta = _parse_delta(cfg["protocol"].get("delta", "auto"))
     stats = None
     if delta == "auto":
-        cal_rng = np.random.default_rng([channel_cfg.seed, _CALIBRATE_STREAM])
-        stats = protocol.calibrate_threshold(
-            model, _calibration_samples(dataset, cfg), channel_cfg, cal_rng,
-            num_bins=int(cfg["protocol"].get("num_bins", 50)))
+        stats = _calibrate(model, dataset, cfg, channel_cfg)
         delta = stats.delta_star
-        _print_calibration(stats)
 
     rng = np.random.default_rng([channel_cfg.seed, _EVALUATE_STREAM])
     cache = protocol.evaluate_rounds(model, dataset.test, channel_cfg, rng)
@@ -373,11 +357,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_run_config(args)
-    validate_config(cfg)
-    model, manifest, _ = _load_mrmtl_bundle(args, cfg)
-    dataset = _load_dataset(cfg)
-    channel_cfg = ChannelConfig.from_dict(cfg["channel"])
+    cfg, model, _, dataset, channel_cfg = _bundle_setup(args)
     rng = np.random.default_rng([channel_cfg.seed, _EVALUATE_STREAM])
     grid = _grid_values(cfg["protocol"]["grid"])
     rows = protocol.sweep_threshold(model, dataset.test, grid, channel_cfg, rng)

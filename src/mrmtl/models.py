@@ -1,12 +1,12 @@
-"""Encoder/decoder assembly, joint training, and the two-round forward pass.
+"""Encoder/decoder assembly, training, and the two-round forward pass.
 
-Two system variants share the same building blocks:
+Two system variants share the same building blocks and one training loop:
 
-* single-round (SRSTL): one encoder/decoder pair trained end to end for a
-  fixed number of channel uses;
 * multi-round (MRMTL): two encoder/decoder heads trained jointly with the
   weighted loss l = w*l1 + (1-w)*l2, where the Round-2 decoder sees the
-  concatenation [r1, r2] of both rounds' received signals.
+  concatenation [r1, r2] of both rounds' received signals;
+* single-round (SRSTL): the one-round case, one encoder/decoder pair
+  trained end to end on l1 for a fixed number of channel uses.
 
 All transmissions pass through power normalization, then the channel.
 Channel gains and noise are redrawn on every forward pass; gradients treat
@@ -65,6 +65,8 @@ class ArchitectureConfig:
             raise ValueError("num_classes must be >= 2")
         if self.decoder_hidden is None:
             object.__setattr__(self, "decoder_hidden", self.nc)
+        if self.decoder_hidden < 1:
+            raise ValueError("decoder_hidden must be >= 1")
 
     def to_dict(self) -> dict:
         return {"nc": self.nc, "nc1": self.nc1, "nc2": self.nc2,
@@ -88,6 +90,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError("lr must be finite and >= 0")
         if not 0.0 <= self.loss_weight <= 1.0:
             raise ValueError("loss_weight must lie in [0, 1]")
 
@@ -212,14 +216,6 @@ def _forward(model, images, draw1: ChannelDraw, draw2: ChannelDraw | None = None
     return probs1, probs2, (cache1, cache2)
 
 
-def srstl_loss_and_grads(model: SrstlModel, images, labels, draw: ChannelDraw, rng):
-    """Training forward + backward; gradients are left on the networks."""
-    probs, _, (cache, _) = _forward(model, images, draw, train=True, rng=rng)
-    dr = model.decoder1.backward(nn.cross_entropy_grad(probs, labels))
-    _transmit_backward(model.encoder1, dr, cache)
-    return nn.cross_entropy(probs, labels), probs
-
-
 def mrmtl_loss(model: MrmtlModel, images, labels, draw1: ChannelDraw, draw2: ChannelDraw,
                w: float | None = None, train: bool = False, rng=None):
     """Forward pass of both heads; returns (loss, l1, l2, probs1, probs2)."""
@@ -230,17 +226,23 @@ def mrmtl_loss(model: MrmtlModel, images, labels, draw1: ChannelDraw, draw2: Cha
     return w * l1 + (1.0 - w) * l2, l1, l2, probs1, probs2
 
 
-def mrmtl_loss_and_grads(model: MrmtlModel, images, labels, draw1: ChannelDraw,
-                         draw2: ChannelDraw, rng, w: float | None = None):
-    """Training pass of the joint loss; gradients land on all four networks.
+def mrmtl_loss_and_grads(model, images, labels, draw1: ChannelDraw,
+                         draw2: ChannelDraw | None, rng, w: float | None = None):
+    """Training pass of the joint loss; gradients land on every network.
 
     Round-1 received symbols feed both decoders, so the gradient into r1 is
     the sum of Decoder 1's (weighted by w) and the first nc1 columns of
-    Decoder 2's (weighted by 1-w).
+    Decoder 2's (weighted by 1-w). With draw2 None, round 1 runs alone on
+    its unweighted loss, the single-round case; that returns
+    (l1, l1, None, probs1, None).
     """
-    w = model.loss_weight if w is None else w
     probs1, probs2, (cache1, cache2) = _forward(model, images, draw1, draw2, True, rng)
     l1 = nn.cross_entropy(probs1, labels)
+    if draw2 is None:
+        d_r1 = model.decoder1.backward(nn.cross_entropy_grad(probs1, labels))
+        _transmit_backward(model.encoder1, d_r1, cache1)
+        return l1, l1, None, probs1, None
+    w = model.loss_weight if w is None else w
     l2 = nn.cross_entropy(probs2, labels)
 
     d_r1 = model.decoder1.backward(w * nn.cross_entropy_grad(probs1, labels))
@@ -265,11 +267,6 @@ def _release_gradients(nets) -> None:
             layer.grads = {}
 
 
-def _check_finite(loss: float, epoch: int) -> None:
-    if not np.isfinite(loss):
-        raise TrainingError(f"non-finite loss at epoch {epoch}")
-
-
 def mrmtl_head_accuracies(model, split: Split, cfg: ChannelConfig,
                           rng) -> tuple[float, float | None]:
     """Round-1 and Round-2 head accuracies over fresh channel draws.
@@ -290,38 +287,71 @@ def mrmtl_head_accuracies(model, split: Split, cfg: ChannelConfig,
     return c1 / n, (c2 / n if two_rounds else None)
 
 
-def train_srstl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: ChannelConfig,
-                cfg: TrainConfig) -> tuple[SrstlModel, list[dict]]:
-    """End-to-end training of the single-round pair; returns (model, log)."""
-    root = np.random.SeedSequence([cfg.seed, 11])
-    enc_seed, dec_seed, loop_seed = (int(s.generate_state(1)[0]) for s in root.spawn(3))
-    model = SrstlModel(
-        encoder1=build_encoder(arch.nc1, enc_seed),
-        decoder1=build_decoder(arch.nc1, arch.decoder_hidden, dec_seed, arch.num_classes),
-        nc1=arch.nc1,
-    )
+def _assemble(mode: str, nets: dict, arch: ArchitectureConfig,
+              loss_weight: float | None) -> SrstlModel | MrmtlModel:
+    """The model of kind mode over its PARTS networks."""
+    if mode == "mrmtl":
+        return MrmtlModel(**nets, loss_weight=loss_weight, nc1=arch.nc1, nc2=arch.nc2)
+    return SrstlModel(**nets, nc1=arch.nc1)
+
+
+def _train(mode: str, dataset: Dataset, arch: ArchitectureConfig,
+           channel_cfg: ChannelConfig, cfg: TrainConfig):
+    """The one training loop, for either kind; returns (model, log).
+
+    The kind's seed stream spawns one network seed per part, in PARTS order,
+    then the loop rng. Each batch draws round 1's channel, then round 2's
+    (MRMTL only), then dropout in forward order.
+    """
+    two_rounds = mode == "mrmtl"
+    root = np.random.SeedSequence([cfg.seed, {"srstl": 11, "mrmtl": 22}[mode]])
+    *seeds, loop_seed = (int(s.generate_state(1)[0])
+                         for s in root.spawn(len(PARTS[mode]) + 1))
+    # each part's symbol width: what an encoder emits, what a decoder takes in
+    widths = {"encoder1": arch.nc1, "encoder2": arch.nc2,
+              "decoder1": arch.nc1, "decoder2": arch.nc1 + arch.nc2}
+    nets = {name: build_encoder(widths[name], seed) if name.startswith("encoder")
+            else build_decoder(widths[name], arch.decoder_hidden, seed, arch.num_classes)
+            for name, seed in zip(PARTS[mode], seeds)}
+    model = _assemble(mode, nets, arch, cfg.loss_weight)
     rng = np.random.default_rng(loop_seed)
     opt = nn.Adam(lr=cfg.lr)
     log: list[dict] = []
+    n = len(dataset.train)
     for epoch in range(cfg.epochs):
-        total_loss = 0.0
-        correct = 0
+        tot = np.zeros(3)
+        correct1 = correct2 = 0
         shuffle_seed = int(rng.integers(2**63))
         for imgs, labels in batches(dataset.train, cfg.batch_size, shuffle_seed):
-            draw = draw_channel(channel_cfg, imgs.shape[0], arch.nc1, rng)
-            loss, probs = srstl_loss_and_grads(model, imgs, labels, draw, rng)
-            _check_finite(loss, epoch)
-            opt.step([model.encoder1, model.decoder1])
-            total_loss += loss * imgs.shape[0]
-            correct += int(np.sum(probs.argmax(axis=1) == labels))
-        log.append({
-            "epoch": epoch,
-            "train_loss": total_loss / len(dataset.train),
-            "train_accuracy": correct / len(dataset.train),
-            "test_accuracy": mrmtl_head_accuracies(model, dataset.test, channel_cfg, rng)[0],
-        })
-    _release_gradients([model.encoder1, model.decoder1])
+            b = imgs.shape[0]
+            draw1 = draw_channel(channel_cfg, b, arch.nc1, rng)
+            draw2 = draw_channel(channel_cfg, b, arch.nc2, rng) if two_rounds else None
+            loss, l1, l2, probs1, probs2 = mrmtl_loss_and_grads(
+                model, imgs, labels, draw1, draw2, rng)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            opt.step(nets.values())
+            tot += np.array([loss, l1, l2 if two_rounds else 0.0]) * b
+            correct1 += int(np.sum(probs1.argmax(axis=1) == labels))
+            if two_rounds:
+                correct2 += int(np.sum(probs2.argmax(axis=1) == labels))
+        test1, test2 = mrmtl_head_accuracies(model, dataset.test, channel_cfg, rng)
+        entry = {"epoch": epoch, "train_loss": tot[0] / n}
+        if two_rounds:
+            entry.update(train_loss_round1=tot[1] / n, train_loss_round2=tot[2] / n,
+                         train_accuracy_round1=correct1 / n, train_accuracy_round2=correct2 / n,
+                         test_accuracy_round1=test1, test_accuracy_round2=test2)
+        else:
+            entry.update(train_accuracy=correct1 / n, test_accuracy=test1)
+        log.append(entry)
+    _release_gradients(nets.values())
     return model, log
+
+
+def train_srstl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: ChannelConfig,
+                cfg: TrainConfig) -> tuple[SrstlModel, list[dict]]:
+    """End-to-end training of the single-round pair; returns (model, log)."""
+    return _train("srstl", dataset, arch, channel_cfg, cfg)
 
 
 def train_mrmtl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: ChannelConfig,
@@ -331,51 +361,7 @@ def train_mrmtl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: Channel
     Both heads are evaluated on every batch; r1 and r2 go through
     independent channel draws, as they do at inference time.
     """
-    root = np.random.SeedSequence([cfg.seed, 22])
-    seeds = [int(s.generate_state(1)[0]) for s in root.spawn(5)]
-    model = MrmtlModel(
-        encoder1=build_encoder(arch.nc1, seeds[0]),
-        encoder2=build_encoder(arch.nc2, seeds[1]),
-        decoder1=build_decoder(arch.nc1, arch.decoder_hidden, seeds[2], arch.num_classes),
-        decoder2=build_decoder(arch.nc1 + arch.nc2, arch.decoder_hidden, seeds[3],
-                               arch.num_classes),
-        loss_weight=cfg.loss_weight,
-        nc1=arch.nc1,
-        nc2=arch.nc2,
-    )
-    rng = np.random.default_rng(seeds[4])
-    opt = nn.Adam(lr=cfg.lr)
-    nets = [model.encoder1, model.encoder2, model.decoder1, model.decoder2]
-    log: list[dict] = []
-    for epoch in range(cfg.epochs):
-        tot = np.zeros(3)
-        correct1 = correct2 = 0
-        shuffle_seed = int(rng.integers(2**63))
-        for imgs, labels in batches(dataset.train, cfg.batch_size, shuffle_seed):
-            b = imgs.shape[0]
-            draw1 = draw_channel(channel_cfg, b, arch.nc1, rng)
-            draw2 = draw_channel(channel_cfg, b, arch.nc2, rng)
-            loss, l1, l2, probs1, probs2 = mrmtl_loss_and_grads(
-                model, imgs, labels, draw1, draw2, rng)
-            _check_finite(loss, epoch)
-            opt.step(nets)
-            tot += np.array([loss, l1, l2]) * b
-            correct1 += int(np.sum(probs1.argmax(axis=1) == labels))
-            correct2 += int(np.sum(probs2.argmax(axis=1) == labels))
-        n = len(dataset.train)
-        test1, test2 = mrmtl_head_accuracies(model, dataset.test, channel_cfg, rng)
-        log.append({
-            "epoch": epoch,
-            "train_loss": tot[0] / n,
-            "train_loss_round1": tot[1] / n,
-            "train_loss_round2": tot[2] / n,
-            "train_accuracy_round1": correct1 / n,
-            "train_accuracy_round2": correct2 / n,
-            "test_accuracy_round1": test1,
-            "test_accuracy_round2": test2,
-        })
-    _release_gradients(nets)
-    return model, log
+    return _train("mrmtl", dataset, arch, channel_cfg, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +452,4 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
                 f"gives {source}={want}"
             )
 
-    if mode == "mrmtl":
-        model = MrmtlModel(**nets, loss_weight=loss_weight, nc1=arch.nc1, nc2=arch.nc2)
-    else:
-        model = SrstlModel(**nets, nc1=arch.nc1)
-    return model, manifest
+    return _assemble(mode, nets, arch, loss_weight), manifest

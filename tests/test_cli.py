@@ -210,6 +210,10 @@ class TestTrainCommand:
         pytest.param({"dataset": {"seed": -1}}, id="negative-dataset-seed"),
         pytest.param({"channel": {"seed": -1}}, id="negative-channel-seed"),
         pytest.param({"training": {"seed": -1}}, id="negative-training-seed"),
+        pytest.param({"training": {"lr": float("nan")}}, id="nan-lr"),
+        pytest.param({"training": {"lr": -1e-3}}, id="negative-lr"),
+        pytest.param({"arch": {"decoder_hidden": 0}}, id="zero-decoder-hidden"),
+        pytest.param({"channel": {"snr_db": float("-inf")}}, id="minus-inf-snr"),
     ])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, command, bad):
         path = tmp_path / "cfg.json"
@@ -222,6 +226,25 @@ class TestTrainCommand:
         assert cli.main(["train", "--seed", "-1", "--output", str(out)]) == 2
         assert "channel.seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nan_lr_flag_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--lr", "nan", "--output", str(out)]) == 2
+        assert "lr must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wide_baseline_spends_both_rounds_budgets(self, tmp_path):
+        cfg = json.loads(json.dumps(RUN_CONFIG))
+        cfg["arch"] = {"nc": 2, "nc1": 4}
+        cfg["training"]["epochs"] = 0
+        cfg["output_dir"] = str(tmp_path / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(path), "--mode", "both"]) == 0
+        out = tmp_path / "run"
+        assert sorted(p.name for p in out.iterdir()) == ["mrmtl", "srstl_nc4", "srstl_nc6"]
+        wide = json.loads((out / "srstl_nc6" / "bundle.json").read_text())
+        assert wide["architecture"]["nc"] == 6
 
     def test_class_count_comes_from_the_dataset(self, tmp_path, capsys):
         # a stale arch.num_classes is ignored like any other unused key

@@ -6,7 +6,7 @@ import pytest
 from conftest import SMALL_SHAPE, random_split, small_mrmtl, small_srstl
 from mrmtl import models, nn
 from mrmtl.channel import ChannelConfig, draw_channel, power_norm_forward
-from mrmtl.dataset import make_synthetic
+from mrmtl.dataset import batches, make_synthetic
 from mrmtl.protocol import evaluate_rounds, run_protocol
 from mrmtl.models import (
     _forward,
@@ -54,6 +54,14 @@ class TestConfigs:
             TrainConfig(epochs=1, batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, loss_weight=1.5)
+
+    @pytest.mark.parametrize("lr", [float("nan"), -1e-3, float("inf")])
+    def test_train_config_rejects_untrainable_lr(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            TrainConfig(epochs=1, lr=lr)
+
+    def test_train_config_allows_zero_lr(self):
+        assert TrainConfig(epochs=1, lr=0.0).lr == 0.0
 
     def test_train_config_dict_roundtrip(self):
         cfg = TrainConfig(epochs=3, batch_size=16, lr=2e-3, loss_weight=0.25, seed=7)
@@ -353,6 +361,119 @@ class TestTraining:
         with pytest.raises(TrainingError, match="epoch 0"):
             train_srstl(ds, arch, ChannelConfig(seed=0),
                         TrainConfig(epochs=1, batch_size=16))
+
+
+def _ref_train_srstl(dataset, arch, channel_cfg, cfg):
+    """The single-round training loop as it was before both kinds shared one,
+    with its loss-and-gradient step inlined."""
+    root = np.random.SeedSequence([cfg.seed, 11])
+    enc_seed, dec_seed, loop_seed = (int(s.generate_state(1)[0]) for s in root.spawn(3))
+    model = SrstlModel(
+        encoder1=build_encoder(arch.nc1, enc_seed),
+        decoder1=build_decoder(arch.nc1, arch.decoder_hidden, dec_seed, arch.num_classes),
+        nc1=arch.nc1,
+    )
+    rng = np.random.default_rng(loop_seed)
+    opt = nn.Adam(lr=cfg.lr)
+    log = []
+    for epoch in range(cfg.epochs):
+        total_loss = 0.0
+        correct = 0
+        shuffle_seed = int(rng.integers(2**63))
+        for imgs, labels in batches(dataset.train, cfg.batch_size, shuffle_seed):
+            draw = draw_channel(channel_cfg, imgs.shape[0], arch.nc1, rng)
+            probs, _, (cache, _) = _forward(model, imgs, draw, train=True, rng=rng)
+            dr = model.decoder1.backward(nn.cross_entropy_grad(probs, labels))
+            models._transmit_backward(model.encoder1, dr, cache)
+            loss = nn.cross_entropy(probs, labels)
+            opt.step([model.encoder1, model.decoder1])
+            total_loss += loss * imgs.shape[0]
+            correct += int(np.sum(probs.argmax(axis=1) == labels))
+        log.append({
+            "epoch": epoch,
+            "train_loss": total_loss / len(dataset.train),
+            "train_accuracy": correct / len(dataset.train),
+            "test_accuracy": models.mrmtl_head_accuracies(model, dataset.test,
+                                                          channel_cfg, rng)[0],
+        })
+    return model, log
+
+
+def _ref_train_mrmtl(dataset, arch, channel_cfg, cfg):
+    """The joint training loop as it was before both kinds shared one, with
+    its two-round loss-and-gradient step inlined."""
+    root = np.random.SeedSequence([cfg.seed, 22])
+    seeds = [int(s.generate_state(1)[0]) for s in root.spawn(5)]
+    model = MrmtlModel(
+        encoder1=build_encoder(arch.nc1, seeds[0]),
+        encoder2=build_encoder(arch.nc2, seeds[1]),
+        decoder1=build_decoder(arch.nc1, arch.decoder_hidden, seeds[2], arch.num_classes),
+        decoder2=build_decoder(arch.nc1 + arch.nc2, arch.decoder_hidden, seeds[3],
+                               arch.num_classes),
+        loss_weight=cfg.loss_weight,
+        nc1=arch.nc1,
+        nc2=arch.nc2,
+    )
+    rng = np.random.default_rng(seeds[4])
+    opt = nn.Adam(lr=cfg.lr)
+    nets = [model.encoder1, model.encoder2, model.decoder1, model.decoder2]
+    w = cfg.loss_weight
+    log = []
+    for epoch in range(cfg.epochs):
+        tot = np.zeros(3)
+        correct1 = correct2 = 0
+        shuffle_seed = int(rng.integers(2**63))
+        for imgs, labels in batches(dataset.train, cfg.batch_size, shuffle_seed):
+            b = imgs.shape[0]
+            draw1 = draw_channel(channel_cfg, b, arch.nc1, rng)
+            draw2 = draw_channel(channel_cfg, b, arch.nc2, rng)
+            probs1, probs2, (cache1, cache2) = _forward(model, imgs, draw1, draw2, True, rng)
+            l1 = nn.cross_entropy(probs1, labels)
+            l2 = nn.cross_entropy(probs2, labels)
+            d_r1 = model.decoder1.backward(w * nn.cross_entropy_grad(probs1, labels))
+            d_cat = model.decoder2.backward((1.0 - w) * nn.cross_entropy_grad(probs2, labels))
+            models._transmit_backward(model.encoder1, d_r1 + d_cat[:, :model.nc1], cache1)
+            models._transmit_backward(model.encoder2, d_cat[:, model.nc1:], cache2)
+            loss = w * l1 + (1.0 - w) * l2
+            opt.step(nets)
+            tot += np.array([loss, l1, l2]) * b
+            correct1 += int(np.sum(probs1.argmax(axis=1) == labels))
+            correct2 += int(np.sum(probs2.argmax(axis=1) == labels))
+        n = len(dataset.train)
+        test1, test2 = models.mrmtl_head_accuracies(model, dataset.test, channel_cfg, rng)
+        log.append({
+            "epoch": epoch,
+            "train_loss": tot[0] / n,
+            "train_loss_round1": tot[1] / n,
+            "train_loss_round2": tot[2] / n,
+            "train_accuracy_round1": correct1 / n,
+            "train_accuracy_round2": correct2 / n,
+            "test_accuracy_round1": test1,
+            "test_accuracy_round2": test2,
+        })
+    return model, log
+
+
+@pytest.mark.parametrize("channel_kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("mode", ["srstl", "mrmtl"])
+def test_shared_loop_matches_reference_loops(mode, channel_kind):
+    """Seed streams, draw order, parameters and logs of each kind are those
+    of its own loop before both shared one."""
+    dataset = make_synthetic(num_classes=2, per_class=5, seed=3)
+    arch = ArchitectureConfig(nc=2, nc2=3, num_classes=2, decoder_hidden=3)
+    channel = ChannelConfig(kind=channel_kind, snr_db=10.0, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, loss_weight=0.3, seed=4)
+    train, reference = {"srstl": (train_srstl, _ref_train_srstl),
+                        "mrmtl": (train_mrmtl, _ref_train_mrmtl)}[mode]
+
+    model, log = train(dataset, arch, channel, cfg)
+    ref_model, ref_log = reference(dataset, arch, channel, cfg)
+
+    assert log == ref_log
+    for part in models.PARTS[mode]:
+        for (name, a), (_, b) in zip(getattr(model, part).param_items(),
+                                     getattr(ref_model, part).param_items()):
+            assert a.tobytes() == b.tobytes(), f"{part}.{name}"
 
 
 class TestCacheLifetime:
