@@ -197,23 +197,32 @@ def _transmit_backward(encoder: nn.Network, d_received: np.ndarray, cache: tuple
     encoder.backward(power_norm_backward(ds, norm_cache))
 
 
+def _decode1(model, r1: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+    """Round-1 head probabilities: the softmax of Decoder 1's logits on r1."""
+    return nn.softmax(model.decoder1.forward(r1, train, rng))
+
+
+def _decode2(model, r1: np.ndarray, r2: np.ndarray, train: bool = False,
+             rng=None) -> np.ndarray:
+    """Round-2 head probabilities: Decoder 2 sees [r1, r2], with r1 reused
+    exactly as received."""
+    return nn.softmax(model.decoder2.forward(np.concatenate([r1, r2], axis=1), train, rng))
+
+
 def _forward(model, images, draw1: ChannelDraw, draw2: ChannelDraw | None = None,
              train: bool = False, rng=None):
     """The receiver's two rounds over one batch; returns (probs1, probs2, caches).
 
-    Each head's probabilities are the softmax of its decoder's logits. Runs
-    encoder1, encoder2, decoder1, decoder2 in that order, so dropout
-    draws from rng in the order training records them. Decoder 2 sees
-    [r1, r2], with r1 reused exactly as received. Round 2 is skipped when
-    draw2 is None, and its probs and cache are then None.
+    Runs encoder1, encoder2, decoder1, decoder2 in that order, so dropout
+    draws from rng in the order training records them. Round 2 is skipped
+    when draw2 is None, and its probs and cache are then None.
     """
     r1, cache1 = _transmit_batch(model.encoder1, images, draw1, train, rng)
     if draw2 is None:
-        return nn.softmax(model.decoder1.forward(r1, train, rng)), None, (cache1, None)
+        return _decode1(model, r1, train, rng), None, (cache1, None)
     r2, cache2 = _transmit_batch(model.encoder2, images, draw2, train, rng)
-    probs1 = nn.softmax(model.decoder1.forward(r1, train, rng))
-    probs2 = nn.softmax(model.decoder2.forward(np.concatenate([r1, r2], axis=1), train, rng))
-    return probs1, probs2, (cache1, cache2)
+    probs1 = _decode1(model, r1, train, rng)
+    return probs1, _decode2(model, r1, r2, train, rng), (cache1, cache2)
 
 
 def mrmtl_loss(model: MrmtlModel, images, labels, draw1: ChannelDraw, draw2: ChannelDraw,

@@ -5,13 +5,15 @@ threshold delta, and requests the Round-2 transmission only when confidence
 falls short (strictly below; equality stays in Round 1). Per-sample delay is
 nc1 channel uses without escalation and nc1 + nc2 with it.
 
-Evaluation is split in two stages so threshold studies are cheap and exactly
-reproducible: evaluate_rounds() runs both decoder heads once per sample and
-caches the outputs; apply_threshold() then resolves any delta against the
-cached confidences without touching the channel again. run_protocol,
-sweep_threshold, and calibrate_threshold are assembled from these stages,
-which is what makes sweep rows bit-identical to per-delta re-runs under the
-same entry rng state.
+run_protocol() is the deployed receiver: Encoder 2 and Decoder 2 run only on
+the samples that escalate, so a confident sample costs one round of work.
+Threshold studies instead need both heads on every sample: evaluate_rounds()
+runs both rounds over the whole set and caches the outputs, and
+apply_threshold() and sweep_from_cache() resolve any delta against the cache
+without touching the channel again. All of them, and calibrate_threshold(),
+share one chunk loop and one channel-draw layout, so a run_protocol trace
+equals apply_threshold(evaluate_rounds(...), delta) under the same entry rng
+state, and every sweep row equals a dedicated run_protocol call.
 """
 
 from __future__ import annotations
@@ -20,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, draw_channel
+from .channel import ChannelConfig, ChannelDraw, draw_channel
 from .dataset import Split
-from .models import DecoderOutput, MrmtlModel, _forward
+from .models import DecoderOutput, MrmtlModel, _decode1, _decode2, _transmit_batch
 
 # Samples are processed in fixed-size chunks, one spawned rng child per
 # chunk, so channel draws depend only on the entry rng state and the sample
 # order.
 CHUNK = 64
+
+# The most thresholds delta_grid() builds: step 1e-4 over [0, 1].
+MAX_GRID_POINTS = 10_001
 
 
 class CalibrationError(RuntimeError):
@@ -85,12 +90,18 @@ class CalibrationStats:
 
 
 def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
-                 round2: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+                 delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Decoder-head probabilities for every sample, one CHUNK at a time.
 
-    Each chunk draws its Round-1 channel before its Round-2 channel from its
-    own rng child. With round2=False nothing of Round 2 runs, and the
-    Round-1 draws are still the ones a full pass makes.
+    Round 1 runs on every sample. Round 2 runs only on the samples whose
+    Round-1 confidence is below delta, the escalation rule of
+    apply_threshold: delta = inf runs it everywhere, delta = 0 nowhere. Rows
+    of the Round-2 array that did not run hold NaN.
+
+    Each chunk draws its Round-1 channel, then (if any of its samples
+    escalates) its Round-2 channel for the whole chunk, from its own rng
+    child; nothing else reads that child, so every draw a sample sees is
+    the one a full pass gives it, whichever samples escalate.
     """
     n = len(split)
     if n == 0:
@@ -98,21 +109,30 @@ def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
     bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     k = model.decoder1.output_shape[0]
     probs1 = np.empty((n, k))
-    probs2 = np.empty((n, k)) if round2 else None
+    probs2 = np.full((n, k), np.nan)
     for (lo, hi), crng in zip(bounds, rng.spawn(len(bounds))):
+        images = split.images[lo:hi]
         draw1 = draw_channel(channel_cfg, hi - lo, model.nc1, crng)
-        draw2 = draw_channel(channel_cfg, hi - lo, model.nc2, crng) if round2 else None
-        p1, p2, _ = _forward(model, split.images[lo:hi], draw1, draw2)
-        probs1[lo:hi] = p1
-        if round2:
-            probs2[lo:hi] = p2
+        r1, _ = _transmit_batch(model.encoder1, images, draw1, False, None)
+        probs1[lo:hi] = _decode1(model, r1)
+        rows = np.flatnonzero(probs1[lo:hi].max(axis=1) < delta)
+        if rows.size == 0:
+            continue
+        draw2 = draw_channel(channel_cfg, hi - lo, model.nc2, crng)
+        if rows.size < hi - lo:
+            # numpy multiplies a one-row matrix with a matrix-vector kernel
+            # that rounds differently from the matrix product the same row
+            # gets inside a batch, so a lone row runs as two copies of itself
+            run = rows if rows.size > 1 else np.repeat(rows, 2)
+            images, r1 = images[run], r1[run]
+            draw2 = ChannelDraw(gain=draw2.gain[run], noise=draw2.noise[run])
+        r2, _ = _transmit_batch(model.encoder2, images, draw2, False, None)
+        probs2[lo + rows] = _decode2(model, r1, r2)[:rows.size]
     return probs1, probs2
 
 
-def evaluate_rounds(model: MrmtlModel, split: Split, channel_cfg: ChannelConfig,
-                    rng) -> RoundCache:
-    """Run both heads over every sample once and cache the outputs."""
-    probs1, probs2 = _round_probs(model, split, channel_cfg, rng)
+def _cache(model: MrmtlModel, split: Split, probs1: np.ndarray,
+           probs2: np.ndarray) -> RoundCache:
     return RoundCache(
         true_labels=split.labels,
         round1_probs=probs1,
@@ -123,6 +143,13 @@ def evaluate_rounds(model: MrmtlModel, split: Split, channel_cfg: ChannelConfig,
         nc1=model.nc1,
         nc2=model.nc2,
     )
+
+
+def evaluate_rounds(model: MrmtlModel, split: Split, channel_cfg: ChannelConfig,
+                    rng) -> RoundCache:
+    """Run both heads over every sample once and cache the outputs."""
+    probs1, probs2 = _round_probs(model, split, channel_cfg, rng, np.inf)
+    return _cache(model, split, probs1, probs2)
 
 
 def apply_threshold(cache: RoundCache, delta: float) -> list[ProtocolTrace]:
@@ -157,8 +184,14 @@ def apply_threshold(cache: RoundCache, delta: float) -> list[ProtocolTrace]:
 
 def run_protocol(model: MrmtlModel, split: Split, delta: float, channel_cfg: ChannelConfig,
                  rng) -> list[ProtocolTrace]:
-    """Dynamic round selection over a sample set at one threshold."""
-    return apply_threshold(evaluate_rounds(model, split, channel_cfg, rng), delta)
+    """Dynamic round selection over a sample set at one threshold.
+
+    Round 2 is sent and decoded only for the samples that escalate. The
+    traces read Round-2 rows of escalated samples alone, so the rows that
+    never ran are not seen.
+    """
+    probs1, probs2 = _round_probs(model, split, channel_cfg, rng, delta)
+    return apply_threshold(_cache(model, split, probs1, probs2), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +288,7 @@ def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    probs, _ = _round_probs(model, split, channel_cfg, rng, round2=False)
+    probs, _ = _round_probs(model, split, channel_cfg, rng, 0.0)
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == split.labels
     n = len(split)
@@ -331,13 +364,21 @@ def sweep_threshold(model: MrmtlModel, split: Split, delta_grid, channel_cfg: Ch
 
 def delta_grid(start: float, stop: float, step: float) -> list[float]:
     """Thresholds start to stop inclusive at the given step, rounded to 10
-    decimals so that 0.7 is written as 0.7, not 0.7000000000000001."""
+    decimals so that 0.7 is written as 0.7, not 0.7000000000000001.
+
+    The point count is checked against MAX_GRID_POINTS before any list is
+    built, so a step too fine for the range fails at once.
+    """
+    if not all(np.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must be >= start")
-    count = int(np.floor((stop - start) / step + 1e-9))
-    return [round(start + i * step, 10) for i in range(count + 1)]
+    count = np.floor((stop - start) / step + 1e-9)
+    if not count < MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points; use a coarser step")
+    return [round(start + i * step, 10) for i in range(int(count) + 1)]
 
 
 def default_delta_grid(step: float = 0.02) -> list[float]:

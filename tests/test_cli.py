@@ -173,6 +173,12 @@ class TestParsers:
             _grid_values({"start": 1.0, "stop": 0.0, "step": 0.1})
         with pytest.raises(ConfigError):
             _grid_values({"start": "a", "stop": 1.0, "step": 0.1})
+        with pytest.raises(ConfigError, match="finite"):
+            _grid_values({"start": 0.0, "stop": float("inf"), "step": 0.1})
+        with pytest.raises(ConfigError, match="finite"):
+            _grid_values({"start": 0.0, "stop": 1.0, "step": float("nan")})
+        with pytest.raises(ConfigError, match="points"):
+            _grid_values({"start": 0.0, "stop": 1.0, "step": 1e-12})
 
     def test_parse_grid_flag(self):
         assert _parse_grid_flag("0:1:0.02") == {"start": 0.0, "stop": 1.0, "step": 0.02}
@@ -214,12 +220,18 @@ class TestTrainCommand:
         pytest.param({"training": {"lr": -1e-3}}, id="negative-lr"),
         pytest.param({"arch": {"decoder_hidden": 0}}, id="zero-decoder-hidden"),
         pytest.param({"channel": {"snr_db": float("-inf")}}, id="minus-inf-snr"),
+        pytest.param({"protocol": {"grid": {"start": 0, "stop": float("inf"), "step": 0.1}}},
+                     id="infinite-grid-stop"),
     ])
-    def test_exit_code_2_on_bad_config(self, tmp_path, capsys, command, bad):
+    def test_exit_code_2_on_bad_config(self, tmp_path, monkeypatch, capsys, command, bad):
+        # the configs name no output_dir, so a wrongly accepted one would
+        # write the default runs/ into the working directory
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(bad))
         assert cli.main([command, "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -7,6 +7,7 @@ from conftest import random_split, small_mrmtl
 from mrmtl import protocol
 from mrmtl.channel import ChannelConfig
 from mrmtl.dataset import Split
+from mrmtl.models import MrmtlModel, build_decoder, build_encoder
 from mrmtl.protocol import (
     CalibrationError,
     RoundCache,
@@ -15,6 +16,7 @@ from mrmtl.protocol import (
     average_delay,
     calibrate_threshold,
     default_delta_grid,
+    delta_grid,
     delay_decomposition,
     escalation_rate,
     evaluate_rounds,
@@ -191,6 +193,16 @@ class TestSweeps:
         assert abs(grid[-1] - 1.0) < 1e-9
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
+    def test_delta_grid_rejects_non_finite_and_too_fine(self):
+        for args in [(0.0, np.inf, 0.1), (-np.inf, 1.0, 0.1), (0.0, 1.0, np.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                delta_grid(*args)
+        # 1e12 points would exhaust memory; the count is refused before any
+        # list is built
+        with pytest.raises(ValueError, match="points"):
+            delta_grid(0.0, 1.0, 1e-12)
+        assert len(delta_grid(0.0, 1.0, 1e-4)) == protocol.MAX_GRID_POINTS
+
     def test_sweep_threshold_matches_run_protocol(self, awgn_cfg):
         model = small_mrmtl()
         split = random_split(n=96)
@@ -285,3 +297,97 @@ class TestCalibration:
         stats = calibrate_threshold(small_srstl(), random_split(n=64), awgn_cfg,
                                     np.random.default_rng(11))
         assert stats.n_correct + stats.n_incorrect == 64
+
+
+@pytest.fixture(scope="module")
+def mrmtl_32() -> MrmtlModel:
+    """The deployed 3x32x32 architecture. Row-subset equality of the gated
+    Round 2 is a property of the GEMM shapes, so it is checked at these."""
+    return MrmtlModel(encoder1=build_encoder(4, 1), encoder2=build_encoder(4, 2),
+                      decoder1=build_decoder(4, 4, 3), decoder2=build_decoder(8, 4, 4),
+                      loss_weight=0.5, nc1=4, nc2=4)
+
+
+class TestGatedRoundTwo:
+    """run_protocol runs Round 2 only on escalated samples, and its traces
+    equal the full two-round pass resolved by apply_threshold."""
+
+    N = 70  # not a multiple of protocol.CHUNK
+
+    @staticmethod
+    def _deltas(cache) -> list[float]:
+        """0 and 1.01, quartiles of the Round-1 confidence, and the smallest
+        delta at which a chunk of several samples escalates one alone."""
+        conf = cache.round1_conf
+        quartiles = np.quantile(conf, [0.25, 0.5, 0.75])
+        for c in np.unique(conf):
+            lone = float(np.nextafter(c, np.inf))
+            if any(np.count_nonzero(chunk < lone) == 1 < chunk.size
+                   for chunk in np.split(conf, range(protocol.CHUNK, conf.size, protocol.CHUNK))):
+                break
+        else:
+            raise AssertionError("no delta escalates a lone sample")
+        return [0.0, lone, *(float(q) for q in quartiles), 1.01]
+
+    @staticmethod
+    def _round2_rows(traces) -> int:
+        """Rows Round 2 runs on: the escalated samples of each chunk, with a
+        lone escalated sample of a larger chunk run as two copies."""
+        total = 0
+        for lo in range(0, len(traces), protocol.CHUNK):
+            chunk = traces[lo:lo + protocol.CHUNK]
+            k = sum(t.escalated for t in chunk)
+            total += 2 if k == 1 < len(chunk) else k
+        return total
+
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_traces_equal_full_pass(self, mrmtl_32, kind):
+        split = random_split(n=self.N, shape=(3, 32, 32))
+        cfg = ChannelConfig(kind=kind, snr_db=10.0, seed=0)
+        cache = evaluate_rounds(mrmtl_32, split, cfg, np.random.default_rng(21))
+        escalated_counts = set()
+        for delta in self._deltas(cache):
+            want = apply_threshold(cache, delta)
+            got = run_protocol(mrmtl_32, split, delta, cfg, np.random.default_rng(21))
+            assert len(got) == len(want)
+            escalated_counts.add(sum(t.escalated for t in got))
+            for g, w in zip(got, want):
+                assert g.sample_index == w.sample_index
+                assert g.round1.probs.tobytes() == w.round1.probs.tobytes()
+                assert g.round1.confidence == w.round1.confidence
+                assert g.round1.predicted == w.round1.predicted
+                assert g.escalated == w.escalated
+                assert g.final_predicted == w.final_predicted
+                assert g.true_label == w.true_label
+                assert g.delay == w.delay
+                if w.escalated:
+                    assert g.round2.probs.tobytes() == w.round2.probs.tobytes()
+                    assert g.round2.confidence == w.round2.confidence
+                    assert g.round2.predicted == w.round2.predicted
+                else:
+                    assert g.round2 is None
+        assert {0, self.N} <= escalated_counts and len(escalated_counts) > 4
+
+    def test_round_two_sees_escalated_rows_only(self, mrmtl_32, monkeypatch, rayleigh_cfg):
+        split = random_split(n=self.N, shape=(3, 32, 32))
+        seen = {"encoder2": [], "decoder2": []}
+        for name, rows in seen.items():
+            net = getattr(mrmtl_32, name)
+
+            def counting(x, *args, _forward=net.forward, _rows=rows, **kwargs):
+                _rows.append(x.shape[0])
+                return _forward(x, *args, **kwargs)
+
+            monkeypatch.setattr(net, "forward", counting)
+        cache = evaluate_rounds(mrmtl_32, split, rayleigh_cfg, np.random.default_rng(22))
+        assert sum(seen["encoder2"]) == sum(seen["decoder2"]) == self.N
+        for delta in self._deltas(cache):
+            for rows in seen.values():
+                rows.clear()
+            traces = run_protocol(mrmtl_32, split, delta, rayleigh_cfg,
+                                  np.random.default_rng(22))
+            want = self._round2_rows(traces)
+            assert sum(seen["encoder2"]) == sum(seen["decoder2"]) == want
+            assert want <= sum(t.escalated for t in traces) + 1
+            if delta == 0.0:
+                assert seen == {"encoder2": [], "decoder2": []}
