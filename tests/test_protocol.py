@@ -301,8 +301,13 @@ class TestCalibration:
 
 @pytest.fixture(scope="module")
 def mrmtl_32() -> MrmtlModel:
-    """The deployed 3x32x32 architecture. Row-subset equality of the gated
-    Round 2 is a property of the GEMM shapes, so it is checked at these."""
+    """The deployed 3x32x32 architecture.
+
+    Whether a row of a matrix product comes out the same in a smaller batch
+    depends on the BLAS and the shapes: with OpenBLAS 0.3.31 the 8x8 test
+    architecture's late conv layers round products of a dozen rows or fewer
+    differently, the deployed shapes do not. So the gated Round 2 is checked
+    at the deployed shapes."""
     return MrmtlModel(encoder1=build_encoder(4, 1), encoder2=build_encoder(4, 2),
                       decoder1=build_decoder(4, 4, 3), decoder2=build_decoder(8, 4, 4),
                       loss_weight=0.5, nc1=4, nc2=4)
@@ -388,6 +393,5 @@ class TestGatedRoundTwo:
                                   np.random.default_rng(22))
             want = self._round2_rows(traces)
             assert sum(seen["encoder2"]) == sum(seen["decoder2"]) == want
-            assert want <= sum(t.escalated for t in traces) + 1
             if delta == 0.0:
                 assert seen == {"encoder2": [], "decoder2": []}
