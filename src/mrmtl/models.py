@@ -163,6 +163,7 @@ def build_encoder(out_size: int, seed: int, input_shape=(3, 32, 32)) -> nn.Netwo
         nn.Dropout(0.25),
         nn.Dense(512, out_size, "linear", rng=rng),
     ]
+    layers[0].input_grad = False  # nothing reads the gradient w.r.t. the images
     return nn.Network(layers, input_shape)
 
 
@@ -266,14 +267,18 @@ def mrmtl_loss_and_grads(model, images, labels, draw1: ChannelDraw,
 
 
 def _release_gradients(nets) -> None:
-    """Drop the last step's gradients, so a trained model holds parameters only.
+    """Drop the last step's gradients and layer caches, so a trained model
+    holds parameters only.
 
     Nothing reads them after training; kept, they pin their memory, and with
-    it heap pages freed around them, for as long as the model lives.
+    it heap pages freed around them, for as long as the model lives. The
+    caches include each Conv2D's reused patch matrix, about 75 MB for the
+    encoder's second layer at batch size 32.
     """
     for net in nets:
         for layer in net.layers:
             layer.grads = {}
+            layer._cache = None
 
 
 def mrmtl_head_accuracies(model, split: Split, cfg: ChannelConfig,

@@ -7,15 +7,19 @@ backward pass needs when run in training mode:
 - Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix, gathered from
   the padded input through a cached read-only index, and for ReLU the
   boolean (B*H*W, filters) mask of positive outputs. A convolution is one
-  GEMM forward, and two GEMMs plus a channels-last col2im backward.
+  GEMM forward; backward is one GEMM for the weight gradient and, for the
+  input gradient, k*k tap GEMMs over blocks of images, each added into the
+  padded channels-last gradient. A training forward gathers into the last
+  training pass's patch matrix when the shapes match.
 - MaxPool2D: a boolean mask over the input marking the first maximum of
   each window in row-major order.
 - Dropout: the scaled keep mask. Flatten: the input shape.
 - Dense: the input and the pre-activation.
 
-A cache lives until the owning network's next forward pass, which drops
-every layer's cache before it starts; backward reads it without consuming
-it, so it can be repeated.
+A cache lives until the layer's next training forward replaces it, or until
+the owning network's next inference forward, which drops every layer's cache
+before it starts; backward reads it without consuming it, so it can be
+repeated.
 """
 
 from __future__ import annotations
@@ -95,37 +99,63 @@ def _im2col_index(C: int, Hp: int, Wp: int, k: int) -> np.ndarray:
     return idx
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, Hp, Wp) padded input -> contiguous (B*H*W, C*k*k) patch matrix.
 
     Row b*H*W + h*W + w is the patch under output pixel (h, w) of image b,
-    flattened in (channel, kernel row, kernel column) order. One gather.
+    flattened in (channel, kernel row, kernel column) order. One gather, into
+    out when given (it must have that shape and xp's dtype).
     """
     B, C, Hp, Wp = xp.shape
     idx = _im2col_index(C, Hp, Wp, k)
-    return np.take(xp.reshape(B, -1), idx, axis=1).reshape(-1, C * k * k)
+    if out is None:
+        out = np.empty((B * (Hp - k + 1) * (Wp - k + 1), C * k * k), dtype=xp.dtype)
+    # Every offset is in range, so "clip" changes nothing; with out= the
+    # default "raise" would gather into a temporary first and then copy.
+    np.take(xp.reshape(B, -1), idx, axis=1, out=out.reshape(B, -1), mode="clip")
+    return out
 
 
-def _col2im(dcols: np.ndarray, B: int, C: int, k: int, H: int, W: int) -> np.ndarray:
-    """Scatter-add patch gradients back to the padded input, adjoint of _im2col.
+# Bytes of one image block's tap slab in the input gradient: small enough
+# that each tap's GEMM result is still in cache when it is added.
+_DX_BLOCK_BYTES = 1 << 21
 
-    Taps accumulate in (i, j) order into a zeroed channels-last buffer; the
-    result is its (B, C, H+k-1, W+k-1) view. Going one image at a time keeps
-    the strided tap reads in cache.
+
+def _conv_input_grad(dpre: np.ndarray, w: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
+    """Gradient w.r.t. the padded input, channels-last (B, H+k-1, W+k-1, C).
+
+    dpre is the (B*H*W, F) gradient w.r.t. the pre-activation, w the (F, C,
+    k, k) filters. Tap-major over blocks of images: for each tap (i, j), one
+    GEMM of the block's rows with w[:, :, i, j] gives a contiguous (m, H, W,
+    C) slab, added into the zeroed buffer at offset (i, j). Each entry is the
+    same length-F dot product as in dpre @ w.reshape(F, -1), and each pixel
+    sums its taps in (i, j) order, so the result is bit for bit that GEMM
+    followed by a col2im, without its (B*H*W, C*k*k) intermediate.
     """
-    taps = dcols.reshape(B, H, W, C, k, k)
-    dxp = np.zeros((B, H + k - 1, W + k - 1, C), dtype=dcols.dtype)
-    for b in range(B):
+    F, C, k, _ = w.shape
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, F, C)
+    dxp = np.zeros((B, H + k - 1, W + k - 1, C), dtype=dpre.dtype)
+    m = min(B, max(1, _DX_BLOCK_BYTES // (H * W * C * dpre.itemsize)))
+    buf = np.empty((m * H * W, C), dtype=dpre.dtype)
+    for b0 in range(0, B, m):
+        b1 = min(b0 + m, B)
+        rows = dpre[b0 * H * W:b1 * H * W]
+        slab = buf[:rows.shape[0]]
         for i in range(k):
             for j in range(k):
-                dxp[b, i : i + H, j : j + W] += taps[b, ..., i, j]
-    return dxp.transpose(0, 3, 1, 2)
+                np.matmul(rows, w_taps[i, j], out=slab)
+                dxp[b0:b1, i:i + H, j:j + W] += slab.reshape(b1 - b0, H, W, C)
+    return dxp
 
 
 class Conv2D(Layer):
     """Same-padded stride-1 convolution with optional ReLU."""
 
     kind = "conv2d"
+    # When False, backward stops after the parameter gradients and returns
+    # None: an encoder's first layer sees the images, whose gradient nothing
+    # reads.
+    input_grad = True
 
     def __init__(self, in_channels: int, filters: int, kernel_size: int = 3,
                  activation: str = "relu", rng=None):
@@ -159,7 +189,15 @@ class Conv2D(Layer):
         B, C, H, W = x.shape
         k = self.kernel_size
         p = (k - 1) // 2
-        cols = _im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), k)
+        # A training pass refills the last training pass's patch matrix:
+        # gathering into warm pages costs about half a fresh array's. The old
+        # cache goes first, so a changed batch size never holds both.
+        reuse = None
+        if train and self._cache is not None:
+            reuse, self._cache = self._cache[0], None
+            if reuse.shape != (B * H * W, C * k * k) or reuse.dtype != x.dtype:
+                reuse = None
+        cols = _im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), k, reuse)
         out = cols @ self.params["w"].reshape(self.filters, -1).T
         out += self.params["b"]
         if self.activation == "relu":
@@ -173,8 +211,7 @@ class Conv2D(Layer):
     def backward(self, dout):
         self._require_cache()
         cols, mask, (B, C, H, W) = self._cache
-        k = self.kernel_size
-        p = (k - 1) // 2
+        p = (self.kernel_size - 1) // 2
         dpre = np.empty((B, H, W, self.filters))
         if mask is not None:
             np.multiply(dout.transpose(0, 2, 3, 1), mask.reshape(dpre.shape), out=dpre)
@@ -185,8 +222,9 @@ class Conv2D(Layer):
             "w": (cols.T @ dpre).T.reshape(self.params["w"].shape),
             "b": dpre.sum(axis=0),
         }
-        dcols = dpre @ self.params["w"].reshape(self.filters, -1)
-        dxp = _col2im(dcols, B, C, k, H, W)
+        if not self.input_grad:
+            return None
+        dxp = _conv_input_grad(dpre, self.params["w"], B, H, W).transpose(0, 3, 1, 2)
         if p:
             return dxp[:, :, p:-p, p:-p]
         return dxp

@@ -13,9 +13,11 @@ class Network:
     Shape compatibility between consecutive layers is checked once at
     construction. Forward in inference mode is a pure function of
     (parameters, input); training mode records per-layer caches and enables
-    dropout, which draws from the rng passed to forward(). Every forward
-    first drops the caches of the previous pass, so at most one generation
-    is held, and none after an inference pass.
+    dropout, which draws from the rng passed to forward(). A training
+    forward replaces each layer's cache as it reaches the layer (a Conv2D
+    refills its last patch matrix in place); an inference forward first
+    drops every cache. So each layer holds at most one pass's cache, and
+    none after an inference pass.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...]):
@@ -38,8 +40,9 @@ class Network:
                 f"got {x.shape}"
             )
         self._forward_recorded = False
-        for layer in self.layers:
-            layer._cache = None
+        if not train:
+            for layer in self.layers:
+                layer._cache = None
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x, train, rng)
@@ -48,10 +51,12 @@ class Network:
         self._forward_recorded = train
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         """Backpropagate from the output gradient; returns the input gradient.
 
-        Parameter gradients are left on each layer's .grads dict.
+        Parameter gradients are left on each layer's .grads dict. The input
+        gradient is None when the first layer has input_grad False, as an
+        encoder's first Conv2D does.
         """
         if not self._forward_recorded:
             raise RuntimeError("backward called without a recorded training forward pass")

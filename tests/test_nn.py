@@ -163,6 +163,41 @@ def test_conv_bitwise_matches_reference_on_encoder_shape():
     _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x, dout)
 
 
+# The encoder's six convolutions as deployed, (in_channels, filters, side),
+# at the training batch size.
+ENCODER_CONVS = [(3, 32, 32), (32, 32, 32), (32, 64, 16), (64, 64, 16),
+                 (64, 128, 8), (128, 128, 8)]
+
+
+@pytest.mark.parametrize("C, F, side", ENCODER_CONVS)
+def test_conv_bitwise_matches_reference_on_deployed_shapes(C, F, side):
+    rng = np.random.default_rng([C, F, side])
+    layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(C))
+    ref_layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(C))
+    x = rng.normal(size=(32, C, side, side))
+    if C != 3:
+        x = np.maximum(x, 0.0)  # every later layer sees ReLU output
+    dout = rng.normal(size=(32, F, side, side))
+    _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x, dout)
+
+
+def test_conv_reused_patch_buffer_matches_fresh_layers():
+    # Training passes at batch sizes 4, 3 (a partial batch), 4 and 4: each
+    # matches a fresh reference layer, and only the last, at an unchanged
+    # shape, gathers into the previous pass's patch matrix.
+    rng = np.random.default_rng(21)
+    layer = nn.Conv2D(3, 5, 3, "relu", rng=np.random.default_rng(4))
+    reused, last = [], None
+    for B in (4, 3, 4, 4):
+        ref_layer = nn.Conv2D(3, 5, 3, "relu", rng=np.random.default_rng(4))
+        x = rng.normal(size=(B, 3, 6, 7))
+        dout = rng.normal(size=(B, 5, 6, 7))
+        _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x, dout)
+        reused.append(layer._cache[0] is last)
+        last = layer._cache[0]
+    assert reused == [False, False, False, True]
+
+
 def test_conv_bitwise_matches_reference_across_alternating_shapes():
     # One process, shapes alternating k 3 -> 5 -> 3, channel counts and a
     # non-square image: each (C, Hp, Wp, k) gets its own read-only index.
@@ -240,6 +275,62 @@ def test_train_steps_match_reference_layers(monkeypatch):
         for (name, a), (_, b) in zip(getattr(model, part).param_items(),
                                      getattr(ref_model, part).param_items()):
             assert a.tobytes() == b.tobytes(), f"{part}.{name}"
+
+
+def test_encoder_first_conv_skips_input_gradient(monkeypatch):
+    # Nothing reads the gradient with respect to the images, so the joint
+    # training pass never computes it for either encoder's first Conv2D; all
+    # parameter gradients still equal the reference layers' bit for bit.
+    from conftest import random_split, small_mrmtl
+    from mrmtl.channel import ChannelConfig, draw_channel
+    from mrmtl.models import PARTS, mrmtl_loss_and_grads
+    from mrmtl.nn import layers
+
+    split = random_split(n=6, seed=8)
+    cfg = ChannelConfig(kind="awgn", snr_db=10.0, seed=0)
+
+    def joint_pass(model):
+        rng = np.random.default_rng(3)
+        d1 = draw_channel(cfg, 6, model.nc1, rng)
+        d2 = draw_channel(cfg, 6, model.nc2, rng)
+        mrmtl_loss_and_grads(model, split.images, split.labels, d1, d2, rng)
+
+    computed = []  # filter arrays of every input gradient that was computed
+    input_grad = layers._conv_input_grad
+
+    def recorded(dpre, w, B, H, W):
+        computed.append(id(w))
+        return input_grad(dpre, w, B, H, W)
+
+    model = small_mrmtl(seed=6)
+    with monkeypatch.context() as m:
+        m.setattr(layers, "_conv_input_grad", recorded)
+        joint_pass(model)
+    for encoder in (model.encoder1, model.encoder2):
+        first, *rest = [layer for layer in encoder.layers if layer.kind == "conv2d"]
+        assert id(first.params["w"]) not in computed
+        assert all(id(conv.params["w"]) in computed for conv in rest)
+
+    ref_model = small_mrmtl(seed=6)
+    with monkeypatch.context() as m:
+        m.setattr(nn.Conv2D, "forward", ref_conv_forward)
+        m.setattr(nn.Conv2D, "backward", ref_conv_backward)
+        joint_pass(ref_model)
+    for part in PARTS["mrmtl"]:
+        ref_grads = getattr(ref_model, part).grad_items()
+        for (name, a), (_, b) in zip(getattr(model, part).grad_items(), ref_grads):
+            assert _same_bits(a, b), f"{part}.{name}"
+
+    # Encoders return no input gradient; decoders and other networks do.
+    for encoder in (model.encoder1, model.encoder2):
+        assert encoder.backward(np.ones((6, encoder.output_shape[0]))) is None
+    for decoder in (model.decoder1, model.decoder2):
+        dx = decoder.backward(np.ones((6, decoder.output_shape[0])))
+        assert dx.shape == (6, *decoder.input_shape)
+    net = _tiny_net()
+    x = np.random.default_rng(1).normal(size=(3, 2, 4, 4))
+    net.forward(x, train=True, rng=np.random.default_rng(0))
+    assert net.backward(np.ones((3, 5))).shape == x.shape
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +467,47 @@ def _cached_layers(net):
     return [i for i, layer in enumerate(net.layers) if layer._cache is not None]
 
 
-def test_inference_forward_drops_training_caches():
+def test_inference_forward_drops_training_caches(monkeypatch):
+    import gc
+    import weakref
+
+    from mrmtl.channel import ChannelConfig
+    from mrmtl.dataset import make_synthetic
+    from mrmtl.models import ArchitectureConfig, TrainConfig, train_mrmtl
+    from mrmtl.nn import layers
+
     net = _tiny_net()
     x = np.random.default_rng(3).normal(size=(3, 2, 4, 4))
     net.forward(x, train=True, rng=np.random.default_rng(0))
+    cols = net.layers[0]._cache[0]
+    net.forward(x, train=True, rng=np.random.default_rng(0))
+    assert net.layers[0]._cache[0] is cols  # refilled, not reallocated
+    cols = weakref.ref(cols)
     assert _cached_layers(net) == list(range(len(net.layers)))
     net.forward(x, train=False)
     assert _cached_layers(net) == []
+    gc.collect()
+    assert cols() is None  # the reused patch matrix went with the cache
     with pytest.raises(RuntimeError, match="training forward"):
         net.backward(np.zeros((3, 5)))
+
+    # Training returns a model with no cache, and no patch matrix alive.
+    gathered = []
+    im2col = layers._im2col
+
+    def recorded(*args):
+        out = im2col(*args)
+        gathered.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(layers, "_im2col", recorded)
+    model, _ = train_mrmtl(make_synthetic(num_classes=2, per_class=5, seed=3),
+                           ArchitectureConfig(nc=2, num_classes=2),
+                           ChannelConfig(seed=0), TrainConfig(epochs=1, batch_size=4))
+    for part in (model.encoder1, model.encoder2, model.decoder1, model.decoder2):
+        assert _cached_layers(part) == []
+    gc.collect()
+    assert gathered and all(ref() is None for ref in gathered)
 
 
 def test_backward_is_repeatable_after_one_training_forward():
