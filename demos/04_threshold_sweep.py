@@ -1,8 +1,9 @@
 """Trace the whole delay/accuracy curve in one evaluation pass.
 
-Both decoder heads are evaluated once per sample under frozen channel
-draws; every threshold on the grid is then just a relabeling of that
-cache, so a 51-point sweep costs the same as a single run. The sweep
+evaluate_rounds() runs both decoder heads once per sample under frozen
+channel draws; sweep_from_cache() then resolves every threshold on the
+grid against that cache, so a 51-point sweep costs the same as a single
+run. This is the sweep `mrmtl evaluate` writes into its report. Here it
 lands in a CSV plus standalone SVG charts under demos/output/sweep/.
 
 Run 02_train_desk_scale.py first to leave a bundle in demos/output/;
@@ -20,7 +21,7 @@ from mrmtl.analysis import write_sweep_csv
 from mrmtl.channel import ChannelConfig
 from mrmtl.dataset import make_synthetic
 from mrmtl.models import ArchitectureConfig, TrainConfig, load_bundle, train_mrmtl
-from mrmtl.protocol import default_delta_grid, sweep_threshold
+from mrmtl.protocol import default_delta_grid, evaluate_rounds, sweep_from_cache
 
 OUT = Path(__file__).parent / "output"
 BUNDLE = OUT / "mrmtl"
@@ -36,9 +37,8 @@ else:
     model, _ = train_mrmtl(dataset, ArchitectureConfig(nc=4), channel_cfg,
                            TrainConfig(epochs=1, batch_size=32, seed=0))
 
-grid = default_delta_grid()
-rows = sweep_threshold(model, dataset.test, grid, channel_cfg,
-                       np.random.default_rng(12))
+cache = evaluate_rounds(model, dataset.test, channel_cfg, np.random.default_rng(12))
+rows = sweep_from_cache(cache, default_delta_grid())
 
 print(f"\n{len(rows)} thresholds over {len(dataset.test)} samples\n")
 print("  delta   accuracy   avg delay   escalation")

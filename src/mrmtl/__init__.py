@@ -62,7 +62,6 @@ from .protocol import (
     escalation_rate,
     evaluate_rounds,
     run_protocol,
-    sweep_threshold,
     task_accuracy,
     threshold_midpoint,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "draw_channel", "emit_report", "escalation_rate", "evaluate_rounds",
     "load_bundle", "load_cifar10", "make_synthetic", "mrmtl_loss",
     "noise_variance", "read_sweep_csv", "read_traces_csv",
-    "run_protocol", "save_bundle", "sweep_threshold", "task_accuracy",
+    "run_protocol", "save_bundle", "task_accuracy",
     "threshold_midpoint", "train_mrmtl", "train_srstl", "write_sweep_csv",
     "write_traces_csv",
 ]

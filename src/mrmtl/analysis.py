@@ -43,12 +43,6 @@ class ConfusionMatrix:
     counts: np.ndarray
     class_names: list[str]
 
-    def normalized(self) -> np.ndarray:
-        """Row-normalized counts; all-zero rows stay zero."""
-        totals = self.counts.sum(axis=1, keepdims=True)
-        return np.divide(self.counts, totals, out=np.zeros(self.counts.shape),
-                         where=totals > 0)
-
     def accuracy(self) -> float:
         total = int(self.counts.sum())
         if total == 0:

@@ -52,7 +52,7 @@ def noise_variance(snr_db: float) -> float:
 def power_norm_forward(raw: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Scale each row of (B, L) encoder outputs to unit mean square,
     raw * sqrt(L / (sum raw^2 + eps)), and return the cache the backward pass
-    needs. An (almost) all-zero row cannot be normalized and stays near zero.
+    needs. An (almost) all-zero row cannot reach unit power and stays near zero.
     """
     ss = np.sum(raw * raw, axis=1, keepdims=True) + NORM_EPS
     scale = np.sqrt(raw.shape[1] / ss)

@@ -1,4 +1,4 @@
-"""Command-line orchestration: train, calibrate, evaluate, sweep, report.
+"""Command-line orchestration: train, calibrate, evaluate, report.
 
 Configuration comes from one JSON file merged with flag overrides (flags
 win). Every command validates the merged config fully before touching the
@@ -187,8 +187,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(str(e)) from None
     _parse_delta(cfg["protocol"].get("delta", "auto"))
     _grid_values(cfg["protocol"]["grid"])
-    if _int_field(cfg["protocol"], "num_bins", 50) < 1:
-        raise ConfigError("num_bins must be >= 1")
+    if not 1 <= _int_field(cfg["protocol"], "num_bins", 50) <= protocol.MAX_NUM_BINS:
+        raise ConfigError(f"num_bins must lie in [1, {protocol.MAX_NUM_BINS}]")
     if cfg["protocol"].get("calibration_split", "test") not in ("test", "train"):
         raise ConfigError("calibration_split must be 'test' or 'train'")
     if not cfg.get("output_dir") or not isinstance(cfg["output_dir"], str):
@@ -242,8 +242,8 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 
 def _bundle_setup(args) -> tuple[dict, MrmtlModel, dict, Dataset, ChannelConfig]:
-    """What calibrate, evaluate and sweep start from: the validated config, the
-    MRMTL bundle and its manifest, the dataset and the channel config."""
+    """What calibrate and evaluate start from: the validated config, the MRMTL
+    bundle and its manifest, the dataset and the channel config."""
     cfg = load_run_config(args)
     validate_config(cfg)
     path = Path(args.bundle or Path(cfg["output_dir"]) / "mrmtl")
@@ -346,6 +346,7 @@ def cmd_evaluate(args) -> int:
                                    class_names=dataset.class_names)
     report_dir = Path(cfg["output_dir"]) / "report"
     analysis.emit_report(report, report_dir)
+    charts.emit_sweep_charts(report.sweep, report_dir)
     p = report.protocol
     print(f"samples:         {p['num_samples']}")
     print(f"delta:           {p['delta']:.6f}")
@@ -353,24 +354,6 @@ def cmd_evaluate(args) -> int:
     print(f"avg delay:       {p['avg_delay']:.6f}")
     print(f"escalation rate: {p['escalation_rate']:.6f}")
     print(f"report written: {report_dir}")
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    cfg, model, _, dataset, channel_cfg = _bundle_setup(args)
-    rng = np.random.default_rng([channel_cfg.seed, _EVALUATE_STREAM])
-    grid = _grid_values(cfg["protocol"]["grid"])
-    rows = protocol.sweep_threshold(model, dataset.test, grid, channel_cfg, rng)
-    out = Path(cfg["output_dir"]) / "sweep"
-    out.mkdir(parents=True, exist_ok=True)
-    analysis.write_sweep_csv(rows, out / "sweep.csv")
-    print(f"sweep rows: {len(rows)} (delta {rows[0]['delta']:g} to {rows[-1]['delta']:g})")
-    print(f"accuracy {rows[0]['accuracy']:.4f} -> {rows[-1]['accuracy']:.4f}, "
-          f"delay {rows[0]['avg_delay']:.4f} -> {rows[-1]['avg_delay']:.4f}")
-    print(f"sweep written: {out / 'sweep.csv'}")
-    if args.charts:
-        for path in charts.emit_sweep_charts(rows, out):
-            print(f"chart written: {path}")
     return EXIT_OK
 
 
@@ -446,17 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, bundle=True)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("evaluate", help="run the dynamic protocol and emit a report")
+    p = sub.add_parser("evaluate", help="run the dynamic protocol and the threshold sweep; "
+                                         "emit a report with sweep charts")
     _add_common(p, bundle=True)
     p.add_argument("--delta", help="escalation threshold in [0, 1.01], or 'auto'")
     p.add_argument("--grid", help="sweep grid start:stop:step for the report")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="threshold sweep over a delta grid")
-    _add_common(p, bundle=True)
-    p.add_argument("--grid", help="grid start:stop:step (default 0:1:0.02)")
-    p.add_argument("--charts", action="store_true", help="emit SVG charts")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="verify a report against its traces")
     p.add_argument("--dir", required=True, help="report directory")

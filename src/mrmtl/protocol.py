@@ -34,6 +34,9 @@ CHUNK = 64
 # The most thresholds delta_grid() builds: step 1e-4 over [0, 1].
 MAX_GRID_POINTS = 10_001
 
+# The most histogram bins calibrate_threshold() takes: width 1e-4 over [0, 1].
+MAX_NUM_BINS = 10_000
+
 
 class CalibrationError(RuntimeError):
     """Calibration set cannot support the conditional-mean estimate."""
@@ -286,8 +289,8 @@ def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
     their midpoint, and fixed-width histograms over [0, 1]. The Round-1
     draws equal those of evaluate_rounds under the same entry rng state.
     """
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
+    if not 1 <= num_bins <= MAX_NUM_BINS:
+        raise ValueError(f"num_bins must lie in [1, {MAX_NUM_BINS}]")
     probs, _ = _round_probs(model, split, channel_cfg, rng, 0.0)
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == split.labels
@@ -320,15 +323,6 @@ def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
 # threshold sweeps
 
 
-def _validate_grid(delta_grid) -> list[float]:
-    grid = [float(d) for d in delta_grid]
-    if not grid:
-        raise ValueError("empty delta grid")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("delta grid must be sorted ascending")
-    return grid
-
-
 def sweep_from_cache(cache: RoundCache, delta_grid) -> list[dict]:
     """Evaluate every grid delta against one set of cached outputs.
 
@@ -336,7 +330,11 @@ def sweep_from_cache(cache: RoundCache, delta_grid) -> list[dict]:
     cached predictions apply_threshold() would select, so each row matches
     a dedicated run_protocol call on the same draws bit for bit.
     """
-    grid = _validate_grid(delta_grid)
+    grid = [float(d) for d in delta_grid]
+    if not grid:
+        raise ValueError("empty delta grid")
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError("delta grid must be sorted ascending")
     n = len(cache)
     r1_correct = cache.round1_pred == cache.true_labels
     r2_correct = cache.round2_pred == cache.true_labels
@@ -352,14 +350,6 @@ def sweep_from_cache(cache: RoundCache, delta_grid) -> list[dict]:
             "escalation_rate": k / n,
         })
     return rows
-
-
-def sweep_threshold(model: MrmtlModel, split: Split, delta_grid, channel_cfg: ChannelConfig,
-                    rng) -> list[dict]:
-    """One evaluation pass, many thresholds."""
-    grid = _validate_grid(delta_grid)
-    cache = evaluate_rounds(model, split, channel_cfg, rng)
-    return sweep_from_cache(cache, grid)
 
 
 def delta_grid(start: float, stop: float, step: float) -> list[float]:

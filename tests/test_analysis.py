@@ -71,12 +71,6 @@ class TestConfusion:
         with pytest.raises(ValueError, match="class_names"):
             confusion(np.array([0]), np.array([0]), 10, ["a"])
 
-    def test_normalized_rows(self):
-        m = ConfusionMatrix(counts=np.array([[2, 2], [0, 0]]), class_names=["a", "b"])
-        norm = m.normalized()
-        assert np.allclose(norm[0], [0.5, 0.5])
-        assert np.array_equal(norm[1], [0.0, 0.0])
-
     def test_empty_accuracy_rejected(self):
         m = ConfusionMatrix(counts=np.zeros((2, 2), dtype=np.int64), class_names=["a", "b"])
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import write_fake_cifar
-from mrmtl import cli
+from mrmtl import cli, protocol
+from mrmtl.analysis import read_sweep_csv
 from mrmtl.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -34,6 +35,9 @@ RUN_CONFIG = {
     "protocol": {"delta": "auto", "grid": {"start": 0.0, "stop": 1.0, "step": 0.1},
                  "num_bins": 20, "calibration_split": "test"},
 }
+
+SWEEP_CHARTS = ("accuracy_vs_threshold.svg", "delay_vs_threshold.svg",
+                "accuracy_vs_delay.svg")
 
 
 @pytest.fixture(scope="session")
@@ -180,6 +184,13 @@ class TestParsers:
         with pytest.raises(ConfigError, match="points"):
             _grid_values({"start": 0.0, "stop": 1.0, "step": 1e-12})
 
+    def test_sweep_is_not_a_command(self, capsys):
+        # evaluate writes the sweep and its charts; there is no second path
+        with pytest.raises(SystemExit) as e:
+            cli.main(["sweep"])
+        assert e.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
     def test_parse_grid_flag(self):
         assert _parse_grid_flag("0:1:0.02") == {"start": 0.0, "stop": 1.0, "step": 0.02}
         with pytest.raises(ConfigError):
@@ -207,6 +218,7 @@ class TestTrainCommand:
         pytest.param({"protocol": 5}, id="protocol-not-object"),
         pytest.param({"dataset": "x"}, id="dataset-not-object"),
         pytest.param({"protocol": {"num_bins": "many"}}, id="num-bins-not-numeric"),
+        pytest.param({"protocol": {"num_bins": 1e15}}, id="num-bins-too-many"),
         pytest.param({"dataset": {"kind": "synthetic", "per_class": "few"}},
                      id="per-class-not-numeric"),
         pytest.param({"output_dir": 7}, id="output-dir-not-path"),
@@ -243,6 +255,15 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert cli.main(["train", "--lr", "nan", "--output", str(out)]) == 2
         assert "lr must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_num_bins_bound_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"protocol": {"num_bins": protocol.MAX_NUM_BINS + 1},
+                                    "output_dir": str(out)}))
+        assert cli.main(["calibrate", "--config", str(path)]) == 2
+        assert f"num_bins must lie in [1, {protocol.MAX_NUM_BINS}]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_wide_baseline_spends_both_rounds_budgets(self, tmp_path):
@@ -333,8 +354,24 @@ class TestEvaluateCommand:
         code, report_dir = self._evaluate(trained_run, tmp_path, "--delta", "0.5")
         assert code == 0
         for name in ("report.json", "traces.csv", "sweep.csv", "confusion_round1.csv",
-                     "confusion_round2.csv", "calibration.json"):
+                     "confusion_round2.csv", "calibration.json", *SWEEP_CHARTS):
             assert (report_dir / name).is_file(), name
+
+    def test_sweep_rows_and_charts(self, trained_run, tmp_path, capsys):
+        code, report_dir = self._evaluate(trained_run, tmp_path, "--delta", "0.5")
+        assert code == 0
+        rows = read_sweep_csv(report_dir / "sweep.csv")
+        assert len(rows) == 11
+        assert [r["delta"] for r in rows] == [round(0.1 * i, 10) for i in range(11)]
+        delays = [r["avg_delay"] for r in rows]
+        assert all(b >= a for a, b in zip(delays, delays[1:]))
+        for name in SWEEP_CHARTS:
+            assert (report_dir / name).is_file(), name
+
+    def test_exit_2_on_malformed_grid(self, trained_run, tmp_path, capsys):
+        code, report_dir = self._evaluate(trained_run, tmp_path, "--grid", "0:1")
+        assert code == 2
+        assert not report_dir.exists()
 
     def test_determinism_across_runs(self, trained_run, tmp_path, capsys):
         code_a, dir_a = self._evaluate(trained_run, tmp_path / "a", "--delta", "auto")
@@ -424,45 +461,6 @@ class TestCorruptBundle:
         assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
         err = capsys.readouterr().err
         assert "encoder1.ckpt has output width" in err and "nc1=" in err
-
-
-class TestSweepCommand:
-    def test_sweep_rows_and_charts(self, trained_run, tmp_path, capsys):
-        code = cli.main(["sweep", "--config", str(trained_run["config"]),
-                         "--bundle", str(trained_run["out"] / "mrmtl"),
-                         "-o", str(tmp_path), "--charts"])
-        assert code == 0
-        from mrmtl.analysis import read_sweep_csv
-
-        rows = read_sweep_csv(tmp_path / "sweep" / "sweep.csv")
-        assert len(rows) == 11
-        assert [r["delta"] for r in rows] == [round(0.1 * i, 10) for i in range(11)]
-        delays = [r["avg_delay"] for r in rows]
-        assert all(b >= a for a, b in zip(delays, delays[1:]))
-        for name in ("accuracy_vs_threshold.svg", "delay_vs_threshold.svg",
-                     "accuracy_vs_delay.svg"):
-            assert (tmp_path / "sweep" / name).is_file()
-
-    def test_sweep_agrees_with_evaluate_report(self, trained_run, tmp_path, capsys):
-        # same channel.seed feeds the same evaluation stream, so the sweep
-        # file must equal the one embedded in an evaluate run byte for byte
-        code = cli.main(["sweep", "--config", str(trained_run["config"]),
-                         "--bundle", str(trained_run["out"] / "mrmtl"),
-                         "-o", str(tmp_path / "s")])
-        assert code == 0
-        code = cli.main(["evaluate", "--config", str(trained_run["config"]),
-                         "--bundle", str(trained_run["out"] / "mrmtl"),
-                         "-o", str(tmp_path / "e"), "--delta", "0.5"])
-        assert code == 0
-        sweep_a = (tmp_path / "s" / "sweep" / "sweep.csv").read_bytes()
-        sweep_b = (tmp_path / "e" / "report" / "sweep.csv").read_bytes()
-        assert sweep_a == sweep_b
-
-    def test_exit_2_on_malformed_grid(self, trained_run, tmp_path, capsys):
-        code = cli.main(["sweep", "--config", str(trained_run["config"]),
-                         "--bundle", str(trained_run["out"] / "mrmtl"),
-                         "-o", str(tmp_path), "--grid", "0:1"])
-        assert code == 2
 
 
 def _with_protocol_accuracy(report_text: str, value) -> str:

@@ -22,7 +22,6 @@ from mrmtl.protocol import (
     evaluate_rounds,
     run_protocol,
     sweep_from_cache,
-    sweep_threshold,
     task_accuracy,
     threshold_midpoint,
 )
@@ -203,11 +202,12 @@ class TestSweeps:
             delta_grid(0.0, 1.0, 1e-12)
         assert len(delta_grid(0.0, 1.0, 1e-4)) == protocol.MAX_GRID_POINTS
 
-    def test_sweep_threshold_matches_run_protocol(self, awgn_cfg):
+    def test_sweep_from_cache_matches_run_protocol(self, awgn_cfg):
         model = small_mrmtl()
         split = random_split(n=96)
         grid = [0.0, 0.4, 0.8]
-        rows = sweep_threshold(model, split, grid, awgn_cfg, np.random.default_rng(42))
+        cache = evaluate_rounds(model, split, awgn_cfg, np.random.default_rng(42))
+        rows = sweep_from_cache(cache, grid)
         for delta, row in zip(grid, rows):
             traces = run_protocol(model, split, delta, awgn_cfg, np.random.default_rng(42))
             assert row["accuracy"] == task_accuracy(traces)
@@ -287,9 +287,10 @@ class TestCalibration:
 
     def test_bad_bin_count_rejected(self, awgn_cfg):
         model = small_mrmtl()
-        with pytest.raises(ValueError, match="num_bins"):
-            calibrate_threshold(model, random_split(n=8), awgn_cfg,
-                                np.random.default_rng(0), num_bins=0)
+        for num_bins in (0, protocol.MAX_NUM_BINS + 1):
+            with pytest.raises(ValueError, match="num_bins"):
+                calibrate_threshold(model, random_split(n=8), awgn_cfg,
+                                    np.random.default_rng(0), num_bins=num_bins)
 
     def test_accepts_srstl_model(self, awgn_cfg):
         from conftest import small_srstl
