@@ -152,12 +152,25 @@ def _grid_values(grid: dict) -> list[float]:
                           f"({e})") from None
 
 
-def _int_field(section: dict, key: str, default: int) -> int:
-    value = section.get(key, default)
-    try:
+def _int_field(cfg: dict, path: str, default: int | None = None) -> int:
+    """cfg's "section.key" as an int: an int (not a bool) or an integral float.
+
+    Anything else, a missing key without a default included, is a ConfigError
+    naming the key, never a silent truncation.
+    """
+    section, key = path.split(".")
+    value = cfg[section].get(key, default)
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
+def _optional_int_field(cfg: dict, path: str) -> int | None:
+    """As _int_field, but an absent or null value is None."""
+    section, key = path.split(".")
+    return None if cfg[section].get(key) is None else _int_field(cfg, path)
 
 
 def validate_config(cfg: dict) -> None:
@@ -168,7 +181,8 @@ def validate_config(cfg: dict) -> None:
     ds = cfg["dataset"]
     kind = ds.get("kind")
     if kind == "synthetic":
-        if _int_field(ds, "num_classes", 10) < 2 or _int_field(ds, "per_class", 2) < 2:
+        if (_int_field(cfg, "dataset.num_classes", 10) < 2
+                or _int_field(cfg, "dataset.per_class", 2) < 2):
             raise ConfigError("synthetic dataset needs num_classes >= 2, per_class >= 2")
     elif kind == "cifar10":
         if _cifar_path(cfg) is None:
@@ -177,7 +191,7 @@ def validate_config(cfg: dict) -> None:
     else:
         raise ConfigError(f"unknown dataset kind: {kind!r}")
     for section in ("dataset", "channel", "training"):
-        if _int_field(cfg[section], "seed", 0) < 0:
+        if _int_field(cfg, f"{section}.seed", 0) < 0:
             raise ConfigError(f"{section}.seed must be >= 0")
     try:
         ChannelConfig.from_dict(cfg["channel"])
@@ -187,7 +201,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(str(e)) from None
     _parse_delta(cfg["protocol"].get("delta", "auto"))
     _grid_values(cfg["protocol"]["grid"])
-    if not 1 <= _int_field(cfg["protocol"], "num_bins", 50) <= protocol.MAX_NUM_BINS:
+    if not 1 <= _int_field(cfg, "protocol.num_bins", 50) <= protocol.MAX_NUM_BINS:
         raise ConfigError(f"num_bins must lie in [1, {protocol.MAX_NUM_BINS}]")
     if cfg["protocol"].get("calibration_split", "test") not in ("test", "train"):
         raise ConfigError("calibration_split must be 'test' or 'train'")
@@ -206,29 +220,28 @@ def _num_classes(cfg: dict) -> int:
     """The class count of the configured dataset, as its loader produces it."""
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        return int(ds.get("num_classes", 10))
+        return _int_field(cfg, "dataset.num_classes", 10)
     return len(CIFAR10_CLASS_NAMES)
 
 
 def _arch_config(cfg: dict) -> ArchitectureConfig:
-    a = cfg["arch"]
     return ArchitectureConfig(
-        nc=int(a["nc"]),
-        nc1=None if a.get("nc1") is None else int(a["nc1"]),
-        nc2=None if a.get("nc2") is None else int(a["nc2"]),
+        nc=_int_field(cfg, "arch.nc"),
+        nc1=_optional_int_field(cfg, "arch.nc1"),
+        nc2=_optional_int_field(cfg, "arch.nc2"),
         num_classes=_num_classes(cfg),
-        decoder_hidden=None if a.get("decoder_hidden") is None else int(a["decoder_hidden"]),
+        decoder_hidden=_optional_int_field(cfg, "arch.decoder_hidden"),
     )
 
 
 def _train_config(cfg: dict) -> TrainConfig:
     t = cfg["training"]
     return TrainConfig(
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
+        epochs=_int_field(cfg, "training.epochs"),
+        batch_size=_int_field(cfg, "training.batch_size"),
         lr=float(t["lr"]),
         loss_weight=float(t["loss_weight"]),
-        seed=int(t["seed"]),
+        seed=_int_field(cfg, "training.seed"),
     )
 
 
@@ -236,8 +249,8 @@ def _load_dataset(cfg: dict) -> Dataset:
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
         return make_synthetic(num_classes=_num_classes(cfg),
-                              per_class=int(ds.get("per_class", 40)),
-                              seed=int(ds.get("seed", 0)))
+                              per_class=_int_field(cfg, "dataset.per_class", 40),
+                              seed=_int_field(cfg, "dataset.seed", 0))
     return load_cifar10(_cifar_path(cfg))
 
 
@@ -262,7 +275,7 @@ def _calibrate(model: MrmtlModel, dataset: Dataset, cfg: dict, channel_cfg: Chan
     rng = np.random.default_rng([channel_cfg.seed, _CALIBRATE_STREAM])
     stats = protocol.calibrate_threshold(
         model, dataset.train if split == "train" else dataset.test, channel_cfg, rng,
-        num_bins=int(cfg["protocol"].get("num_bins", 50)))
+        num_bins=_int_field(cfg, "protocol.num_bins", 50))
     print(f"mean confidence (correct):   {stats.mean_conf_correct:.6f}")
     print(f"mean confidence (incorrect): {stats.mean_conf_incorrect:.6f}")
     print(f"delta_star:                  {stats.delta_star:.6f}")
@@ -294,9 +307,8 @@ def cmd_train(args) -> int:
     if mode == "both":
         # the wide baseline spends both rounds' channel uses in one; the raw
         # config value lets an unset decoder width track that budget
-        raw_hidden = cfg["arch"].get("decoder_hidden")
         arch2 = ArchitectureConfig(nc=arch.nc1 + arch.nc2, num_classes=arch.num_classes,
-                                   decoder_hidden=None if raw_hidden is None else int(raw_hidden))
+                                   decoder_hidden=_optional_int_field(cfg, "arch.decoder_hidden"))
         jobs.append((f"srstl_nc{arch2.nc1}", arch2))
 
     for name, job_arch in jobs:

@@ -4,13 +4,16 @@ All arrays are float64. Layers operate on batched inputs: (B, C, H, W) for
 the convolutional stack, (B, D) after Flatten. Each layer caches what its
 backward pass needs when run in training mode:
 
-- Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix, gathered from
-  the padded input through a cached read-only index, and for ReLU the
-  boolean (B*H*W, filters) mask of positive outputs. A convolution is one
-  GEMM forward; backward is one GEMM for the weight gradient and, for the
-  input gradient, k*k tap GEMMs over blocks of images, each added into the
-  padded channels-last gradient. A training forward gathers into the last
-  training pass's patch matrix when the shapes match.
+- Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix, and for ReLU
+  the boolean (B*H*W, filters) mask of positive outputs. Forward copies
+  images into a zero-bordered padded buffer (no np.pad), gathers their patch
+  rows through a cached read-only index and multiplies them by the filters.
+  Inference does so one cache-sized block of images at a time into reused
+  buffers, never holding the whole patch matrix; training gathers the whole
+  batch into it, refilling the last training pass's matrix when the shapes
+  match. Backward is one GEMM for the weight gradient and, for the input
+  gradient, k*k tap GEMMs over blocks of images, each added into the padded
+  channels-last gradient.
 - MaxPool2D: a boolean mask over the input marking the first maximum of
   each window in row-major order.
 - Dropout: the scaled keep mask. Flatten: the input shape.
@@ -116,9 +119,15 @@ def _im2col(xp: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-# Bytes of one image block's tap slab in the input gradient: small enough
-# that each tap's GEMM result is still in cache when it is added.
-_DX_BLOCK_BYTES = 1 << 21
+# Bytes of one block of images' working buffer: the inference patch rows in
+# the forward pass, each tap's slab in the input gradient. Small enough that a
+# block's GEMM operand or result is still in cache when it is next read.
+_BLOCK_BYTES = 1 << 21
+
+
+def _block_images(B: int, image_bytes: int) -> int:
+    """Images per block: as many as fit in _BLOCK_BYTES, at least one."""
+    return min(B, max(1, _BLOCK_BYTES // image_bytes))
 
 
 def _conv_input_grad(dpre: np.ndarray, w: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
@@ -135,7 +144,7 @@ def _conv_input_grad(dpre: np.ndarray, w: np.ndarray, B: int, H: int, W: int) ->
     F, C, k, _ = w.shape
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, F, C)
     dxp = np.zeros((B, H + k - 1, W + k - 1, C), dtype=dpre.dtype)
-    m = min(B, max(1, _DX_BLOCK_BYTES // (H * W * C * dpre.itemsize)))
+    m = _block_images(B, H * W * C * dpre.itemsize)
     buf = np.empty((m * H * W, C), dtype=dpre.dtype)
     for b0 in range(0, B, m):
         b1 = min(b0 + m, B)
@@ -192,13 +201,28 @@ class Conv2D(Layer):
         # A training pass refills the last training pass's patch matrix:
         # gathering into warm pages costs about half a fresh array's. The old
         # cache goes first, so a changed batch size never holds both.
-        reuse = None
+        cols = None
         if train and self._cache is not None:
-            reuse, self._cache = self._cache[0], None
-            if reuse.shape != (B * H * W, C * k * k) or reuse.dtype != x.dtype:
-                reuse = None
-        cols = _im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), k, reuse)
-        out = cols @ self.params["w"].reshape(self.filters, -1).T
+            cols, self._cache = self._cache[0], None
+            if cols.shape != (B * H * W, C * k * k) or cols.dtype != x.dtype:
+                cols = None
+        # Training gathers the whole batch into the patch matrix backward
+        # reads; inference gathers and multiplies one cache-sized block of
+        # images at a time, so it never holds the whole matrix. Each output
+        # entry is the same dot product either way: only the GEMM's row
+        # partition changes.
+        m = B if train else _block_images(B, H * W * C * k * k * x.itemsize)
+        if cols is None:
+            cols = np.empty((m * H * W, C * k * k), dtype=x.dtype)
+        # The block's padded images; the border is never written, so it stays 0.
+        xp = np.zeros((m, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
+        wmat = self.params["w"].reshape(self.filters, -1).T
+        out = np.empty((B * H * W, self.filters), dtype=np.result_type(x, wmat))
+        for b0 in range(0, B, m):
+            n = min(m, B - b0)
+            xp[:n, :, p:p + H, p:p + W] = x[b0:b0 + n]
+            block = _im2col(xp[:n], k, cols[:n * H * W])
+            np.matmul(block, wmat, out=out[b0 * H * W:(b0 + n) * H * W])
         out += self.params["b"]
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)

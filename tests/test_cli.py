@@ -234,6 +234,13 @@ class TestTrainCommand:
         pytest.param({"channel": {"snr_db": float("-inf")}}, id="minus-inf-snr"),
         pytest.param({"protocol": {"grid": {"start": 0, "stop": float("inf"), "step": 0.1}}},
                      id="infinite-grid-stop"),
+        # integer fields reject a non-integral value instead of truncating it
+        pytest.param({"arch": {"nc": 4.7}}, id="fractional-nc"),
+        pytest.param({"training": {"epochs": 2.5}}, id="fractional-epochs"),
+        pytest.param({"training": {"batch_size": True}}, id="boolean-batch-size"),
+        pytest.param({"protocol": {"num_bins": 20.7}}, id="fractional-num-bins"),
+        pytest.param({"dataset": {"kind": "synthetic", "per_class": 2.5}},
+                     id="fractional-per-class"),
     ])
     def test_exit_code_2_on_bad_config(self, tmp_path, monkeypatch, capsys, command, bad):
         # the configs name no output_dir, so a wrongly accepted one would
@@ -265,6 +272,23 @@ class TestTrainCommand:
         assert cli.main(["calibrate", "--config", str(path)]) == 2
         assert f"num_bins must lie in [1, {protocol.MAX_NUM_BINS}]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_integer_field_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"training": {"epochs": 2.5}, "output_dir": str(out)}))
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert "training.epochs must be an integer, got 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_fields_are_accepted(self):
+        cfg = json.loads(json.dumps(cli.DEFAULT_CONFIG))
+        cfg["output_dir"] = "unused"
+        cfg["arch"]["nc"] = 2.0
+        cfg["training"]["epochs"] = 3.0
+        cli.validate_config(cfg)
+        assert cli._arch_config(cfg).nc == 2
+        assert cli._train_config(cfg).epochs == 3
 
     def test_wide_baseline_spends_both_rounds_budgets(self, tmp_path):
         cfg = json.loads(json.dumps(RUN_CONFIG))

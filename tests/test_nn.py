@@ -198,6 +198,103 @@ def test_conv_reused_patch_buffer_matches_fresh_layers():
     assert reused == [False, False, False, True]
 
 
+# Block sizes for inference: one image per block, the default, and one block
+# for any batch.
+BLOCK_SPLITS = {"one_image": 1, "default": nn.layers._BLOCK_BYTES, "whole_batch": 1 << 40}
+
+
+def _count_gathers(monkeypatch):
+    from mrmtl.nn import layers
+
+    calls = []
+    im2col = layers._im2col
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return im2col(*args)
+
+    monkeypatch.setattr(layers, "_im2col", counted)
+    return calls
+
+
+@pytest.mark.parametrize("C, F, side", ENCODER_CONVS)
+def test_conv_blocked_inference_matches_reference_at_every_split(monkeypatch, C, F, side):
+    # Inference gathers and multiplies block by block; whatever the split,
+    # the output equals the whole-batch reference GEMM bit for bit.
+    from mrmtl.nn import layers
+
+    rng = np.random.default_rng([C, F, side, 2])
+    layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(C))
+    ref_layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(C))
+    gathers = _count_gathers(monkeypatch)
+    for B in (1, 3, 64, 65):
+        x = rng.normal(size=(B, C, side, side))
+        if C != 3:
+            x = np.maximum(x, 0.0)
+        want = ref_conv_forward(ref_layer, x, False, None)
+        for split, block_bytes in BLOCK_SPLITS.items():
+            monkeypatch.setattr(layers, "_BLOCK_BYTES", block_bytes)
+            gathers.clear()
+            assert _same_bits(layer.forward(x, False, None), want), (B, split)
+            m = {"one_image": 1, "whole_batch": B}.get(
+                split, layers._block_images(B, side * side * C * 9 * 8))
+            assert gathers == [m] * (B // m) + [B % m] * (B % m > 0), (B, split)
+
+
+@pytest.mark.parametrize("split", ["one_image", "whole_batch"])
+def test_conv_training_and_inference_passes_interleave(monkeypatch, split):
+    # An inference pass between a training forward and its backward leaves
+    # the cached patch matrix alone, and the next training pass still
+    # refills it; in the reverse order the inference pass leaves nothing a
+    # training pass could pick up.
+    from mrmtl.nn import layers
+
+    monkeypatch.setattr(layers, "_BLOCK_BYTES", BLOCK_SPLITS[split])
+    C, F, side = 32, 64, 16
+    rng = np.random.default_rng(17)
+    layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(5))
+    ref_layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(5))
+    x_train, x_infer = (np.maximum(rng.normal(size=(5, C, side, side)), 0.0) for _ in "ab")
+    dout = rng.normal(size=(5, F, side, side))
+
+    assert _same_bits(layer.forward(x_infer, False, None),
+                      ref_conv_forward(ref_layer, x_infer, False, None))
+    assert layer._cache is None
+    want = ref_conv_forward(ref_layer, x_train, True, None)
+    assert _same_bits(layer.forward(x_train, True, None), want)
+    cols = layer._cache[0]
+    assert cols.shape == (5 * side * side, C * 9)  # the whole batch's patch matrix
+
+    assert _same_bits(layer.forward(x_infer, False, None),
+                      ref_conv_forward(nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(5)),
+                                       x_infer, False, None))
+    assert layer._cache[0] is cols
+    assert _same_bits(layer.backward(dout), ref_conv_backward(ref_layer, dout))
+    for name in layer.params:
+        assert _same_bits(layer.grads[name], ref_layer.grads[name]), name
+    assert _same_bits(layer.forward(x_train, True, None), want)
+    assert layer._cache[0] is cols
+
+
+def test_encoder_inference_never_holds_the_whole_patch_matrix():
+    # conv2's whole-batch patch matrix alone is 151 MB at B=64 (65 536 rows
+    # of 288 float64); a blocked inference pass stays far below it.
+    import tracemalloc
+
+    from mrmtl.models import build_encoder
+
+    encoder = build_encoder(4, 0)
+    x = np.random.default_rng(0).normal(size=(64, 3, 32, 32))
+    encoder.forward(x)  # builds the shared gather indices
+    tracemalloc.start()
+    try:
+        encoder.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_conv_bitwise_matches_reference_across_alternating_shapes():
     # One process, shapes alternating k 3 -> 5 -> 3, channel counts and a
     # non-square image: each (C, Hp, Wp, k) gets its own read-only index.
