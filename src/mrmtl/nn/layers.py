@@ -208,9 +208,10 @@ class Conv2D(Layer):
                 cols = None
         # Training gathers the whole batch into the patch matrix backward
         # reads; inference gathers and multiplies one cache-sized block of
-        # images at a time, so it never holds the whole matrix. Each output
-        # entry is the same dot product either way: only the GEMM's row
-        # partition changes.
+        # images at a time, so it never holds the whole matrix. Only the
+        # GEMM's row partition changes: on the encoder's shapes OpenBLAS
+        # gives every partition the same bits (tests/test_nn.py holds it),
+        # but a GEMM of few rows may round differently.
         m = B if train else _block_images(B, H * W * C * k * k * x.itemsize)
         if cols is None:
             cols = np.empty((m * H * W, C * k * k), dtype=x.dtype)

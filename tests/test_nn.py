@@ -266,8 +266,7 @@ def test_conv_training_and_inference_passes_interleave(monkeypatch, split):
     assert cols.shape == (5 * side * side, C * 9)  # the whole batch's patch matrix
 
     assert _same_bits(layer.forward(x_infer, False, None),
-                      ref_conv_forward(nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(5)),
-                                       x_infer, False, None))
+                      ref_conv_forward(ref_layer, x_infer, False, None))
     assert layer._cache[0] is cols
     assert _same_bits(layer.backward(dout), ref_conv_backward(ref_layer, dout))
     for name in layer.params:
