@@ -135,7 +135,7 @@ def _parse_delta(value) -> float | str:
     if value == "auto":
         return "auto"
     try:
-        delta = float(value)
+        delta = _float_value(value, "protocol.delta")
     except (TypeError, ValueError):
         raise ConfigError(f"delta must be a number or 'auto', got {value!r}") from None
     if not 0.0 <= delta <= 1.01:
@@ -145,8 +145,8 @@ def _parse_delta(value) -> float | str:
 
 def _grid_values(grid: dict) -> list[float]:
     try:
-        return protocol.delta_grid(float(grid["start"]), float(grid["stop"]),
-                                   float(grid["step"]))
+        return protocol.delta_grid(*(_float_value(grid[key], f"protocol.grid.{key}")
+                                     for key in ("start", "stop", "step")))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"grid needs numeric start <= stop and step > 0, got {grid!r} "
                           f"({e})") from None
@@ -165,6 +165,13 @@ def _int_field(cfg: dict, path: str, default: int | None = None) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
+def _float_value(value, path: str) -> float:
+    """value as a float; a bool is a ConfigError naming the key, not 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    return float(value)
 
 
 def _optional_int_field(cfg: dict, path: str) -> int | None:
@@ -194,6 +201,7 @@ def validate_config(cfg: dict) -> None:
         if _int_field(cfg, f"{section}.seed", 0) < 0:
             raise ConfigError(f"{section}.seed must be >= 0")
     try:
+        _float_value(cfg["channel"]["snr_db"], "channel.snr_db")
         ChannelConfig.from_dict(cfg["channel"])
         _arch_config(cfg)
         _train_config(cfg)
@@ -239,8 +247,8 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         epochs=_int_field(cfg, "training.epochs"),
         batch_size=_int_field(cfg, "training.batch_size"),
-        lr=float(t["lr"]),
-        loss_weight=float(t["loss_weight"]),
+        lr=_float_value(t["lr"], "training.lr"),
+        loss_weight=_float_value(t["loss_weight"], "training.loss_weight"),
         seed=_int_field(cfg, "training.seed"),
     )
 
@@ -410,20 +418,23 @@ def cmd_report(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, bundle: bool = False) -> None:
+    """Flags of the commands that read a run config. A bundle command takes
+    the model from its trained bundle, so only train has model flags."""
     p.add_argument("--config", help="JSON run configuration file")
     p.add_argument("--output", "-o", help="output directory")
-    p.add_argument("--nc", type=int, help="base channel-use budget")
     p.add_argument("--channel", choices=["awgn", "rayleigh"], help="channel kind")
     p.add_argument("--snr-db", type=float, help="signal-to-noise ratio in dB")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--loss-weight", type=float, help="round-1 loss weight w")
     p.add_argument("--seed", type=int, help="seeds training and channel streams")
     p.add_argument("--data-dir", help=f"CIFAR-10 directory (or ${DATA_DIR_ENV})")
     if bundle:
         p.add_argument("--bundle", help="trained bundle directory "
                                         "(default: <output_dir>/mrmtl)")
+    else:
+        p.add_argument("--nc", type=int, help="base channel-use budget")
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--loss-weight", type=float, help="round-1 loss weight w")
 
 
 def build_parser() -> argparse.ArgumentParser:

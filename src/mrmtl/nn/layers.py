@@ -8,12 +8,12 @@ backward pass needs when run in training mode:
   the boolean (B*H*W, filters) mask of positive outputs. Forward copies
   images into a zero-bordered padded buffer (no np.pad), gathers their patch
   rows through a cached read-only index and multiplies them by the filters.
-  Inference does so one cache-sized block of images at a time into reused
-  buffers, never holding the whole patch matrix; training gathers the whole
-  batch into it, refilling the last training pass's matrix when the shapes
-  match. Backward is one GEMM for the weight gradient and, for the input
-  gradient, k*k tap GEMMs over blocks of images, each added into the padded
-  channels-last gradient.
+  Training gathers the whole batch, refilling the last training pass's
+  matrix when the shapes match, and multiplies it at once; inference gathers
+  one cache-sized block of images at a time into reused buffers and
+  multiplies each image on its own. Backward is one GEMM for the weight
+  gradient and, for the input gradient, k*k tap GEMMs over blocks of images,
+  each added into the padded channels-last gradient.
 - MaxPool2D: a boolean mask over the input marking the first maximum of
   each window in row-major order.
 - Dropout: the scaled keep mask. Flatten: the input shape.
@@ -23,6 +23,11 @@ A cache lives until the layer's next training forward replaces it, or until
 the owning network's next inference forward, which drops every layer's cache
 before it starts; backward reads it without consuming it, so it can be
 repeated.
+
+Inference is batch invariant: a sample's output bits do not depend on what
+else is in its batch. Conv2D runs a GEMM per image, and Dense pads its rows
+with copies of the last to a multiple of 4, which OpenBLAS rounds alike,
+unlike a matrix-vector product or a remainder of 2 or 3 rows.
 """
 
 from __future__ import annotations
@@ -206,13 +211,8 @@ class Conv2D(Layer):
             cols, self._cache = self._cache[0], None
             if cols.shape != (B * H * W, C * k * k) or cols.dtype != x.dtype:
                 cols = None
-        # Training gathers the whole batch into the patch matrix backward
-        # reads; inference gathers and multiplies one cache-sized block of
-        # images at a time, so it never holds the whole matrix. Only the
-        # GEMM's row partition changes: on the encoder's shapes OpenBLAS
-        # gives every partition the same bits (tests/test_nn.py holds it),
-        # but a GEMM of few rows may round differently.
         m = B if train else _block_images(B, H * W * C * k * k * x.itemsize)
+        gemm_rows = (B if train else 1) * H * W  # inference: one GEMM per image
         if cols is None:
             cols = np.empty((m * H * W, C * k * k), dtype=x.dtype)
         # The block's padded images; the border is never written, so it stays 0.
@@ -223,7 +223,8 @@ class Conv2D(Layer):
             n = min(m, B - b0)
             xp[:n, :, p:p + H, p:p + W] = x[b0:b0 + n]
             block = _im2col(xp[:n], k, cols[:n * H * W])
-            np.matmul(block, wmat, out=out[b0 * H * W:(b0 + n) * H * W])
+            np.matmul(block.reshape(-1, gemm_rows, C * k * k), wmat,
+                      out=out[b0 * H * W:(b0 + n) * H * W].reshape(-1, gemm_rows, self.filters))
         out += self.params["b"]
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
@@ -400,11 +401,14 @@ class Dense(Layer):
         return (self.out_size,)
 
     def forward(self, x, train, rng):
+        B = x.shape[0]
+        if not train and B % 4:  # batch invariance: see the module docstring
+            x = np.pad(x, ((0, -B % 4), (0, 0)), mode="edge")
         pre = x @ self.params["w"] + self.params["b"]
         out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
         if train:
             self._cache = (x, pre)
-        return out
+        return out[:B]
 
     def backward(self, dout):
         self._require_cache()

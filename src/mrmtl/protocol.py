@@ -11,9 +11,9 @@ Threshold studies instead need both heads on every sample: evaluate_rounds()
 runs both rounds over the whole set and caches the outputs, and
 apply_threshold() and sweep_from_cache() resolve any delta against the cache
 without touching the channel again. All of them, and calibrate_threshold(),
-share one chunk loop and one channel-draw layout, so a run_protocol trace
-equals apply_threshold(evaluate_rounds(...), delta) under the same entry rng
-state, and every sweep row equals a dedicated run_protocol call.
+share one chunk loop and channel-draw layout over batch-invariant inference,
+so a run_protocol trace equals apply_threshold(evaluate_rounds(...), delta)
+under the same entry rng state, and each sweep row equals a run_protocol call.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
     Each chunk draws its Round-1 channel, then (if any of its samples
     escalates) its Round-2 channel for the whole chunk, from its own rng
     child; nothing else reads that child, so every draw a sample sees is
-    the one a full pass gives it, whichever samples escalate.
+    the one a full pass gives it, whichever samples escalate; inference is
+    batch invariant (mrmtl.nn.layers), so its probabilities are too.
     """
     n = len(split)
     if n == 0:
@@ -122,15 +123,9 @@ def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
         if rows.size == 0:
             continue
         draw2 = draw_channel(channel_cfg, hi - lo, model.nc2, crng)
-        if rows.size < hi - lo:
-            # numpy multiplies a one-row matrix with a matrix-vector kernel
-            # that rounds differently from the matrix product the same row
-            # gets inside a batch, so a lone row runs as two copies of itself
-            run = rows if rows.size > 1 else np.repeat(rows, 2)
-            images, r1 = images[run], r1[run]
-            draw2 = ChannelDraw(gain=draw2.gain[run], noise=draw2.noise[run])
-        r2, _ = _transmit_batch(model.encoder2, images, draw2, False, None)
-        probs2[lo + rows] = _decode2(model, r1, r2)[:rows.size]
+        draw2 = ChannelDraw(gain=draw2.gain[rows], noise=draw2.noise[rows])
+        r2, _ = _transmit_batch(model.encoder2, images[rows], draw2, False, None)
+        probs2[lo + rows] = _decode2(model, r1[rows], r2)
     return probs1, probs2
 
 

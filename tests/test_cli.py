@@ -281,6 +281,40 @@ class TestTrainCommand:
         assert "training.epochs must be an integer, got 2.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, key", [
+        pytest.param({"training": {"lr": True}}, "training.lr", id="lr"),
+        pytest.param({"training": {"loss_weight": True}}, "training.loss_weight",
+                     id="loss-weight"),
+        pytest.param({"channel": {"snr_db": True}}, "channel.snr_db", id="snr-db"),
+        pytest.param({"protocol": {"delta": True}}, "delta", id="delta"),
+        pytest.param({"protocol": {"grid": {"start": True, "stop": 1.0, "step": 0.1}}},
+                     "protocol.grid.start", id="grid-start"),
+        pytest.param({"protocol": {"grid": {"start": 0.0, "stop": True, "step": 0.1}}},
+                     "protocol.grid.stop", id="grid-stop"),
+        pytest.param({"protocol": {"grid": {"start": 0.0, "stop": 1.0, "step": True}}},
+                     "protocol.grid.step", id="grid-step"),
+    ])
+    def test_boolean_float_field_is_named(self, tmp_path, capsys, bad, key):
+        # true is not 1.0: a boolean where a number belongs exits 2
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**bad, "output_dir": str(out)}))
+        assert cli.main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be a number" in err and "True" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--nc", "--epochs", "--batch-size", "--lr",
+                                      "--loss-weight"])
+    def test_only_train_takes_model_flags(self, capsys, flag):
+        # calibrate and evaluate take the model from the bundle
+        cli.build_parser().parse_args(["train", flag, "1"])
+        for command in ("calibrate", "evaluate"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_integral_float_fields_are_accepted(self):
         cfg = json.loads(json.dumps(cli.DEFAULT_CONFIG))
         cfg["output_dir"] = "unused"

@@ -73,7 +73,10 @@ def ref_conv_forward(self, x, train, rng):
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     cols = ref_im2col(xp, k)
     wmat = self.params["w"].reshape(self.filters, -1).T
-    pre = cols.reshape(B * H * W, -1) @ wmat + self.params["b"]
+    # The contiguous patch matrix the layer multiplies. For one image the
+    # reshape is a transposed view, which OpenBLAS multiplies with another
+    # kernel, so it is copied.
+    pre = np.ascontiguousarray(cols.reshape(B * H * W, -1)) @ wmat + self.params["b"]
     pre = pre.reshape(B, H * W, self.filters)
     out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
     if train:
@@ -127,12 +130,17 @@ def _same_bits(a, b) -> bool:
 
 
 def _assert_same_pass(layer, ref_layer, fwd, bwd, x, dout):
-    """Forward (both modes) and backward of both layers agree bit for bit."""
+    """Forward (both modes) and backward of both layers agree bit for bit.
+
+    Training is checked against the reference on the whole batch, inference
+    against the reference run one image at a time: inference is batch
+    invariant, so it multiplies each image on its own."""
     want = fwd(ref_layer, x, True, None)
     assert _same_bits(layer.forward(x, True, None), want)
     assert _same_bits(layer.backward(dout), bwd(ref_layer, dout))
     for name in layer.params:
         assert _same_bits(layer.grads[name], ref_layer.grads[name]), name
+    want = np.concatenate([fwd(ref_layer, x[i:i + 1], False, None) for i in range(len(x))])
     assert _same_bits(layer.forward(x, False, None), want)
 
 
@@ -315,6 +323,48 @@ def test_conv_bitwise_matches_reference_across_alternating_shapes():
         ref_layer = nn.Conv2D(C, 3, k, "relu", rng=np.random.default_rng(k))
         _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x,
                           rng.normal(size=(2, 3, H, W)))
+
+
+# ---------------------------------------------------------------------------
+# batch invariance: inference gives a row the same bits whatever its batch
+
+
+def _assert_batch_invariant(forward, x, seed):
+    """Any row subset of x comes out as those rows of the full batch, bit for
+    bit: leading and trailing runs of 1 to 7 rows, and random subsets."""
+    full = forward(x)
+    B = len(x)
+    rng = np.random.default_rng(seed)
+    subsets = [np.arange(lo, lo + size) for size in range(1, 8) for lo in (0, B - size)]
+    subsets += [np.sort(rng.choice(B, rng.integers(1, B), replace=False)) for _ in range(10)]
+    for rows in subsets:
+        assert _same_bits(forward(x[rows]), full[rows]), rows
+
+
+# Every Dense (in, out) of the models at nc 4: the encoder's hidden layer at
+# 3x32x32 and 3x8x8 input, its head, and both decoders' layers; and 32 -> 10,
+# the head of a decoder 32 wide.
+DENSE_SHAPES = [(2048, 512), (128, 512), (512, 4), (4, 4), (4, 10), (8, 8), (8, 4),
+                (32, 10)]
+
+
+@pytest.mark.parametrize("n_in, n_out", DENSE_SHAPES)
+def test_dense_inference_is_batch_invariant(n_in, n_out):
+    # linear, so that no ReLU hides a difference in a negative output
+    layer = nn.Dense(n_in, n_out, "linear", rng=np.random.default_rng(n_in))
+    x = np.random.default_rng([n_in, n_out]).normal(size=(70, n_in))
+    _assert_batch_invariant(lambda a: layer.forward(a, False, None), x, n_out)
+
+
+@pytest.mark.parametrize("shape, B", [pytest.param((3, 8, 8), 29, id="8x8-B29"),
+                                      pytest.param((3, 8, 8), 92, id="8x8-B92"),
+                                      pytest.param((3, 32, 32), 70, id="32x32-B70")])
+def test_encoder_inference_is_batch_invariant(shape, B):
+    from mrmtl.models import build_encoder
+
+    encoder = build_encoder(4, 1, input_shape=shape)
+    x = np.random.default_rng(B).random((B, *shape))
+    _assert_batch_invariant(encoder.forward, x, B)
 
 
 def _pool_inputs(p, rng):
