@@ -14,6 +14,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +87,23 @@ def _parse_grid_flag(text: str) -> dict:
     return {"start": start, "stop": stop, "step": step}
 
 
+# flag attribute -> the "section.key" paths it sets ("key" alone for a top-level one)
+_FLAG_KEYS = {
+    "nc": ["arch.nc"],
+    "snr_db": ["channel.snr_db"],
+    "channel": ["channel.kind"],
+    "epochs": ["training.epochs"],
+    "batch_size": ["training.batch_size"],
+    "lr": ["training.lr"],
+    "loss_weight": ["training.loss_weight"],
+    "seed": ["training.seed", "channel.seed"],
+    "delta": ["protocol.delta"],
+    "grid": ["protocol.grid"],
+    "data_dir": ["dataset.path"],
+    "output": ["output_dir"],
+}
+
+
 def load_run_config(args) -> dict:
     """Merge defaults, config file, and flag overrides.
 
@@ -103,40 +123,26 @@ def load_run_config(args) -> dict:
         cfg = _deep_update(cfg, file_cfg)
 
     flags: dict = {}
-    if getattr(args, "nc", None) is not None:
-        flags.setdefault("arch", {})["nc"] = args.nc
-    if getattr(args, "snr_db", None) is not None:
-        flags.setdefault("channel", {})["snr_db"] = args.snr_db
-    if getattr(args, "channel", None) is not None:
-        flags.setdefault("channel", {})["kind"] = args.channel
-    if getattr(args, "epochs", None) is not None:
-        flags.setdefault("training", {})["epochs"] = args.epochs
-    if getattr(args, "batch_size", None) is not None:
-        flags.setdefault("training", {})["batch_size"] = args.batch_size
-    if getattr(args, "lr", None) is not None:
-        flags.setdefault("training", {})["lr"] = args.lr
-    if getattr(args, "loss_weight", None) is not None:
-        flags.setdefault("training", {})["loss_weight"] = args.loss_weight
-    if getattr(args, "seed", None) is not None:
-        flags.setdefault("training", {})["seed"] = args.seed
-        flags.setdefault("channel", {})["seed"] = args.seed
-    if getattr(args, "delta", None) is not None:
-        flags.setdefault("protocol", {})["delta"] = args.delta
-    if getattr(args, "grid", None) is not None:
-        flags.setdefault("protocol", {})["grid"] = _parse_grid_flag(args.grid)
-    if getattr(args, "data_dir", None) is not None:
-        flags.setdefault("dataset", {})["path"] = args.data_dir
-    if getattr(args, "output", None) is not None:
-        flags["output_dir"] = args.output
+    for attr, paths in _FLAG_KEYS.items():
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        if attr == "grid":
+            value = _parse_grid_flag(value)
+        for path in paths:
+            section, _, key = path.rpartition(".")
+            (flags.setdefault(section, {}) if section else flags)[key] = value
     return _deep_update(cfg, flags)
 
 
 def _parse_delta(value) -> float | str:
+    """'auto', or a number in [0, 1.01]; also as text, which --delta passes."""
     if value == "auto":
         return "auto"
     try:
-        delta = _float_value(value, "protocol.delta")
-    except (TypeError, ValueError):
+        delta = (float(value) if isinstance(value, str)
+                 else _float_value(value, "protocol.delta"))
+    except ValueError:
         raise ConfigError(f"delta must be a number or 'auto', got {value!r}") from None
     if not 0.0 <= delta <= 1.01:
         raise ConfigError(f"delta must lie in [0, 1.01], got {delta}")
@@ -152,14 +158,17 @@ def _grid_values(grid: dict) -> list[float]:
                           f"({e})") from None
 
 
-def _int_field(cfg: dict, path: str, default: int | None = None) -> int:
+def _int_field(cfg: dict, path: str) -> int | None:
     """cfg's "section.key" as an int: an int (not a bool) or an integral float.
 
-    Anything else, a missing key without a default included, is a ConfigError
-    naming the key, never a silent truncation.
+    A null is None where DEFAULT_CONFIG's value is null, which marks the
+    field optional. Anything else is a ConfigError naming the key, never a
+    silent truncation.
     """
     section, key = path.split(".")
-    value = cfg[section].get(key, default)
+    value = cfg[section][key]
+    if value is None and DEFAULT_CONFIG[section][key] is None:
+        return None
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -168,122 +177,114 @@ def _int_field(cfg: dict, path: str, default: int | None = None) -> int:
 
 
 def _float_value(value, path: str) -> float:
-    """value as a float; a bool is a ConfigError naming the key, not 1.0 or 0.0."""
-    if isinstance(value, bool):
+    """value as a float: an int or a float, not a bool or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     return float(value)
 
 
-def _optional_int_field(cfg: dict, path: str) -> int | None:
-    """As _int_field, but an absent or null value is None."""
-    section, key = path.split(".")
-    return None if cfg[section].get(key) is None else _int_field(cfg, path)
+@dataclass(frozen=True)
+class Run:
+    """A validated run config, parsed into what the commands use."""
+
+    load_dataset: Callable[[], Dataset]
+    channel: ChannelConfig
+    arch: ArchitectureConfig
+    wide_arch: ArchitectureConfig   # the single-round baseline with nc1 + nc2 channel uses
+    training: TrainConfig
+    delta: float | str
+    grid: list[float]
+    num_bins: int
+    calibration_split: str
+    output_dir: Path
 
 
-def validate_config(cfg: dict) -> None:
-    """Fail fast on anything malformed, before any side effect."""
+def validate_config(cfg: dict) -> Run:
+    """Check a merged config fully, before any side effect, and parse it.
+
+    The only reader of the config's values: commands read the returned Run.
+    """
     for section, default in DEFAULT_CONFIG.items():
         if isinstance(default, dict) and not isinstance(cfg.get(section), dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
     ds = cfg["dataset"]
-    kind = ds.get("kind")
-    if kind == "synthetic":
-        if (_int_field(cfg, "dataset.num_classes", 10) < 2
-                or _int_field(cfg, "dataset.per_class", 2) < 2):
+    seeds = {section: _int_field(cfg, f"{section}.seed")
+             for section in ("dataset", "channel", "training")}
+    if ds["kind"] == "synthetic":
+        num_classes = _int_field(cfg, "dataset.num_classes")
+        per_class = _int_field(cfg, "dataset.per_class")
+        if num_classes < 2 or per_class < 2:
             raise ConfigError("synthetic dataset needs num_classes >= 2, per_class >= 2")
-    elif kind == "cifar10":
-        if _cifar_path(cfg) is None:
+        load_dataset = partial(make_synthetic, num_classes, per_class, seeds["dataset"])
+    elif ds["kind"] == "cifar10":
+        path = ds.get("path") or os.environ.get(DATA_DIR_ENV)
+        if not (path and isinstance(path, str) and Path(path).is_dir()):
             raise ConfigError(
                 f"cifar10 dataset needs a path (dataset.path, --data-dir, or ${DATA_DIR_ENV})")
+        num_classes = len(CIFAR10_CLASS_NAMES)
+        load_dataset = partial(load_cifar10, Path(path))
     else:
-        raise ConfigError(f"unknown dataset kind: {kind!r}")
-    for section in ("dataset", "channel", "training"):
-        if _int_field(cfg, f"{section}.seed", 0) < 0:
+        raise ConfigError(f"unknown dataset kind: {ds['kind']!r}")
+    for section, seed in seeds.items():
+        if seed < 0:
             raise ConfigError(f"{section}.seed must be >= 0")
+    t = cfg["training"]
     try:
-        _float_value(cfg["channel"]["snr_db"], "channel.snr_db")
-        ChannelConfig.from_dict(cfg["channel"])
-        _arch_config(cfg)
-        _train_config(cfg)
+        channel = ChannelConfig(
+            kind=cfg["channel"]["kind"],
+            snr_db=_float_value(cfg["channel"]["snr_db"], "channel.snr_db"),
+            seed=seeds["channel"])
+        hidden = _int_field(cfg, "arch.decoder_hidden")
+        arch = ArchitectureConfig(nc=_int_field(cfg, "arch.nc"), nc1=_int_field(cfg, "arch.nc1"),
+                                  nc2=_int_field(cfg, "arch.nc2"), num_classes=num_classes,
+                                  decoder_hidden=hidden)
+        # an unset decoder width tracks the wide baseline's budget, not nc
+        wide_arch = ArchitectureConfig(nc=arch.nc1 + arch.nc2, num_classes=num_classes,
+                                       decoder_hidden=hidden)
+        training = TrainConfig(
+            epochs=_int_field(cfg, "training.epochs"),
+            batch_size=_int_field(cfg, "training.batch_size"),
+            lr=_float_value(t["lr"], "training.lr"),
+            loss_weight=_float_value(t["loss_weight"], "training.loss_weight"),
+            seed=seeds["training"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
-    _parse_delta(cfg["protocol"].get("delta", "auto"))
-    _grid_values(cfg["protocol"]["grid"])
-    if not 1 <= _int_field(cfg, "protocol.num_bins", 50) <= protocol.MAX_NUM_BINS:
+    p = cfg["protocol"]
+    delta = _parse_delta(p["delta"])
+    grid = _grid_values(p["grid"])
+    num_bins = _int_field(cfg, "protocol.num_bins")
+    if not 1 <= num_bins <= protocol.MAX_NUM_BINS:
         raise ConfigError(f"num_bins must lie in [1, {protocol.MAX_NUM_BINS}]")
-    if cfg["protocol"].get("calibration_split", "test") not in ("test", "train"):
+    if p["calibration_split"] not in ("test", "train"):
         raise ConfigError("calibration_split must be 'test' or 'train'")
-    if not cfg.get("output_dir") or not isinstance(cfg["output_dir"], str):
+    if not cfg["output_dir"] or not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be set to a path")
+    return Run(load_dataset=load_dataset, channel=channel, arch=arch, wide_arch=wide_arch,
+               training=training, delta=delta, grid=grid, num_bins=num_bins,
+               calibration_split=p["calibration_split"], output_dir=Path(cfg["output_dir"]))
 
 
-def _cifar_path(cfg: dict):
-    path = cfg["dataset"].get("path") or os.environ.get(DATA_DIR_ENV)
-    if path and isinstance(path, str) and Path(path).is_dir():
-        return Path(path)
-    return None
-
-
-def _num_classes(cfg: dict) -> int:
-    """The class count of the configured dataset, as its loader produces it."""
-    ds = cfg["dataset"]
-    if ds["kind"] == "synthetic":
-        return _int_field(cfg, "dataset.num_classes", 10)
-    return len(CIFAR10_CLASS_NAMES)
-
-
-def _arch_config(cfg: dict) -> ArchitectureConfig:
-    return ArchitectureConfig(
-        nc=_int_field(cfg, "arch.nc"),
-        nc1=_optional_int_field(cfg, "arch.nc1"),
-        nc2=_optional_int_field(cfg, "arch.nc2"),
-        num_classes=_num_classes(cfg),
-        decoder_hidden=_optional_int_field(cfg, "arch.decoder_hidden"),
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["training"]
-    return TrainConfig(
-        epochs=_int_field(cfg, "training.epochs"),
-        batch_size=_int_field(cfg, "training.batch_size"),
-        lr=_float_value(t["lr"], "training.lr"),
-        loss_weight=_float_value(t["loss_weight"], "training.loss_weight"),
-        seed=_int_field(cfg, "training.seed"),
-    )
-
-
-def _load_dataset(cfg: dict) -> Dataset:
-    ds = cfg["dataset"]
-    if ds["kind"] == "synthetic":
-        return make_synthetic(num_classes=_num_classes(cfg),
-                              per_class=_int_field(cfg, "dataset.per_class", 40),
-                              seed=_int_field(cfg, "dataset.seed", 0))
-    return load_cifar10(_cifar_path(cfg))
-
-
-def _bundle_setup(args) -> tuple[dict, MrmtlModel, dict, Dataset, ChannelConfig]:
-    """What calibrate and evaluate start from: the validated config, the MRMTL
-    bundle and its manifest, the dataset and the channel config."""
+def _bundle_setup(args) -> tuple[dict, Run, MrmtlModel, dict, Dataset]:
+    """What calibrate and evaluate start from: the merged config and its
+    parsed Run, the MRMTL bundle and its manifest, and the dataset."""
     cfg = load_run_config(args)
-    validate_config(cfg)
-    path = Path(args.bundle or Path(cfg["output_dir"]) / "mrmtl")
+    run = validate_config(cfg)
+    path = Path(args.bundle or run.output_dir / "mrmtl")
     if not (path / "bundle.json").is_file():
         raise ConfigError(f"no trained bundle at {path}")
     model, manifest = load_bundle(path)
     if manifest["mode"] != "mrmtl":
         raise ConfigError(f"bundle at {path} is {manifest['mode']}, need mrmtl "
                           "for protocol evaluation")
-    return cfg, model, manifest, _load_dataset(cfg), ChannelConfig.from_dict(cfg["channel"])
+    return cfg, run, model, manifest, run.load_dataset()
 
 
-def _calibrate(model: MrmtlModel, dataset: Dataset, cfg: dict, channel_cfg: ChannelConfig):
+def _calibrate(model: MrmtlModel, dataset: Dataset, run: Run):
     """Calibrate δ* on the configured split and print the statistics."""
-    split = cfg["protocol"].get("calibration_split", "test")
-    rng = np.random.default_rng([channel_cfg.seed, _CALIBRATE_STREAM])
+    rng = np.random.default_rng([run.channel.seed, _CALIBRATE_STREAM])
     stats = protocol.calibrate_threshold(
-        model, dataset.train if split == "train" else dataset.test, channel_cfg, rng,
-        num_bins=_int_field(cfg, "protocol.num_bins", 50))
+        model, dataset.train if run.calibration_split == "train" else dataset.test,
+        run.channel, rng, num_bins=run.num_bins)
     print(f"mean confidence (correct):   {stats.mean_conf_correct:.6f}")
     print(f"mean confidence (incorrect): {stats.mean_conf_incorrect:.6f}")
     print(f"delta_star:                  {stats.delta_star:.6f}")
@@ -297,50 +298,39 @@ def _calibrate(model: MrmtlModel, dataset: Dataset, cfg: dict, channel_cfg: Chan
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args)
-    validate_config(cfg)
-    mode = args.mode
-    dataset = _load_dataset(cfg)
-    arch = _arch_config(cfg)
-    channel_cfg = ChannelConfig.from_dict(cfg["channel"])
-    train_cfg = _train_config(cfg)
+    run = validate_config(load_run_config(args))
+    dataset = run.load_dataset()
     fingerprint = dataset_fingerprint(dataset)
-    out = Path(cfg["output_dir"])
 
     jobs = []
-    if mode in ("mrmtl", "both"):
-        jobs.append(("mrmtl", arch))
-    if mode in ("srstl", "both"):
-        jobs.append((f"srstl_nc{arch.nc1}", arch))
-    if mode == "both":
-        # the wide baseline spends both rounds' channel uses in one; the raw
-        # config value lets an unset decoder width track that budget
-        arch2 = ArchitectureConfig(nc=arch.nc1 + arch.nc2, num_classes=arch.num_classes,
-                                   decoder_hidden=_optional_int_field(cfg, "arch.decoder_hidden"))
-        jobs.append((f"srstl_nc{arch2.nc1}", arch2))
+    if args.mode in ("mrmtl", "both"):
+        jobs.append(("mrmtl", run.arch))
+    if args.mode in ("srstl", "both"):
+        jobs.append((f"srstl_nc{run.arch.nc1}", run.arch))
+    if args.mode == "both":
+        jobs.append((f"srstl_nc{run.wide_arch.nc1}", run.wide_arch))
 
     for name, job_arch in jobs:
         if name == "mrmtl":
-            model, log = train_mrmtl(dataset, job_arch, channel_cfg, train_cfg)
+            model, log = train_mrmtl(dataset, job_arch, run.channel, run.training)
             last = log[-1] if log else {}
             summary = (f"round1 {last.get('test_accuracy_round1', float('nan')):.4f} "
                        f"round2 {last.get('test_accuracy_round2', float('nan')):.4f}"
                        if log else "untrained")
         else:
-            model, log = train_srstl(dataset, job_arch, channel_cfg, train_cfg)
+            model, log = train_srstl(dataset, job_arch, run.channel, run.training)
             summary = (f"test {log[-1]['test_accuracy']:.4f}" if log else "untrained")
-        bundle_dir = save_bundle(model, out / name, job_arch, channel_cfg, train_cfg,
-                                 fingerprint, log)
+        bundle_dir = save_bundle(model, run.output_dir / name, job_arch, run.channel,
+                                 run.training, fingerprint, log)
         print(f"bundle written: {bundle_dir} ({summary})")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    cfg, model, _, dataset, channel_cfg = _bundle_setup(args)
-    stats = _calibrate(model, dataset, cfg, channel_cfg)
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "calibration.json"
+    _, run, model, _, dataset = _bundle_setup(args)
+    stats = _calibrate(model, dataset, run)
+    run.output_dir.mkdir(parents=True, exist_ok=True)
+    path = run.output_dir / "calibration.json"
     path.write_text(json.dumps(analysis.calibration_to_dict(stats),
                                indent=2, sort_keys=True) + "\n")
     print(f"calibration written: {path}")
@@ -348,23 +338,23 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, model, manifest, dataset, channel_cfg = _bundle_setup(args)
+    cfg, run, model, manifest, dataset = _bundle_setup(args)
     if dataset_fingerprint(dataset) != manifest.get("dataset_fingerprint"):
         print("note: evaluation dataset differs from the bundle's training data")
 
-    delta = _parse_delta(cfg["protocol"].get("delta", "auto"))
-    stats = None
+    delta, stats = run.delta, None
     if delta == "auto":
-        stats = _calibrate(model, dataset, cfg, channel_cfg)
+        stats = _calibrate(model, dataset, run)
         delta = stats.delta_star
 
-    rng = np.random.default_rng([channel_cfg.seed, _EVALUATE_STREAM])
-    cache = protocol.evaluate_rounds(model, dataset.test, channel_cfg, rng)
-    grid = _grid_values(cfg["protocol"]["grid"])
-    report = analysis.build_report(cache, delta, cfg, sweep_grid=grid,
+    rng = np.random.default_rng([run.channel.seed, _EVALUATE_STREAM])
+    cache = protocol.evaluate_rounds(model, dataset.test, run.channel, rng)
+    # the evaluated model was built and trained as its bundle says
+    echo = {**cfg, "arch": manifest["architecture"], "training": manifest["training"]}
+    report = analysis.build_report(cache, delta, echo, sweep_grid=run.grid,
                                    calibration=stats,
                                    class_names=dataset.class_names)
-    report_dir = Path(cfg["output_dir"]) / "report"
+    report_dir = run.output_dir / "report"
     analysis.emit_report(report, report_dir)
     charts.emit_sweep_charts(report.sweep, report_dir)
     p = report.protocol
@@ -424,7 +414,8 @@ def _add_common(p: argparse.ArgumentParser, bundle: bool = False) -> None:
     p.add_argument("--output", "-o", help="output directory")
     p.add_argument("--channel", choices=["awgn", "rayleigh"], help="channel kind")
     p.add_argument("--snr-db", type=float, help="signal-to-noise ratio in dB")
-    p.add_argument("--seed", type=int, help="seeds training and channel streams")
+    p.add_argument("--seed", type=int, help="seeds the channel streams" if bundle
+                   else "seeds training and channel streams")
     p.add_argument("--data-dir", help=f"CIFAR-10 directory (or ${DATA_DIR_ENV})")
     if bundle:
         p.add_argument("--bundle", help="trained bundle directory "

@@ -36,6 +36,19 @@ RUN_CONFIG = {
                  "num_bins": 20, "calibration_split": "test"},
 }
 
+# DEFAULT_CONFIG's integer fields, and its null ones, which are optional integers
+INT_FIELDS = [f"{section}.{key}" for section, fields in DEFAULT_CONFIG.items()
+              if isinstance(fields, dict) for key, value in fields.items()
+              if value is None or (isinstance(value, int) and not isinstance(value, bool))]
+
+
+def nested(path: str, value) -> dict:
+    """{"a": {"b": value}} for the path "a.b"."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
 SWEEP_CHARTS = ("accuracy_vs_threshold.svg", "delay_vs_threshold.svg",
                 "accuracy_vs_delay.svg")
 
@@ -127,8 +140,7 @@ class TestConfigValidation:
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(tmp_path))
         cfg = load_run_config(ns())
         cfg["dataset"]["kind"] = "cifar10"
-        validate_config(cfg)
-        ds = cli._load_dataset(cfg)
+        ds = validate_config(cfg).load_dataset()
         assert len(ds.train) == 15
         assert len(ds.test) == 3
 
@@ -304,6 +316,31 @@ class TestTrainCommand:
         assert f"{key} must be a number" in err and "True" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("training.lr", "0.001"), ("training.loss_weight", "0.5"), ("channel.snr_db", "10"),
+        ("protocol.grid.start", "0"), ("protocol.grid.stop", "1"), ("protocol.grid.step", "0.1"),
+    ])
+    def test_numeric_string_float_field_is_named(self, tmp_path, capsys, key, value):
+        # a number field takes a JSON number, as an integer field does
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**nested(key, value), "output_dir": str(out)}))
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "calibrate"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("key", INT_FIELDS)
+    def test_integer_field_is_named(self, tmp_path, capsys, command, key, value):
+        # every integer field is checked, so none is read outside validate_config
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**nested(key, value), "output_dir": str(out)}))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--nc", "--epochs", "--batch-size", "--lr",
                                       "--loss-weight"])
     def test_only_train_takes_model_flags(self, capsys, flag):
@@ -320,9 +357,9 @@ class TestTrainCommand:
         cfg["output_dir"] = "unused"
         cfg["arch"]["nc"] = 2.0
         cfg["training"]["epochs"] = 3.0
-        cli.validate_config(cfg)
-        assert cli._arch_config(cfg).nc == 2
-        assert cli._train_config(cfg).epochs == 3
+        run = cli.validate_config(cfg)
+        assert run.arch.nc == 2
+        assert run.training.epochs == 3
 
     def test_wide_baseline_spends_both_rounds_budgets(self, tmp_path):
         cfg = json.loads(json.dumps(RUN_CONFIG))
@@ -446,6 +483,19 @@ class TestEvaluateCommand:
         doc_a["config"].pop("output_dir")
         doc_b["config"].pop("output_dir")
         assert doc_a == doc_b
+
+    def test_report_echoes_the_evaluated_bundle(self, tmp_path, capsys):
+        # the run config's arch and training defaults did not build this bundle
+        out = tmp_path / "run"
+        assert cli.main(["train", "--nc", "2", "--epochs", "0", "-o", str(out)]) == 0
+        assert cli.main(["evaluate", "--delta", "0.5", "--seed", "5", "-o", str(out)]) == 0
+        manifest = json.loads((out / "mrmtl" / "bundle.json").read_text())
+        config = json.loads((out / "report" / "report.json").read_text())["config"]
+        assert config["arch"] == manifest["architecture"]
+        assert config["arch"]["nc"] == 2
+        assert config["training"] == manifest["training"]
+        assert config["training"]["epochs"] == 0
+        assert config["channel"]["seed"] == 5
 
     def test_exit_2_on_srstl_bundle(self, trained_run, tmp_path, capsys):
         code, _ = self._evaluate(trained_run, tmp_path, "--delta", "0",
