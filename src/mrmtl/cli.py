@@ -142,6 +142,8 @@ def _parse_delta(value) -> float | str:
     try:
         delta = (float(value) if isinstance(value, str)
                  else _float_value(value, "protocol.delta"))
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"delta must be a number or 'auto', got {value!r}") from None
     if not 0.0 <= delta <= 1.01:
@@ -153,6 +155,8 @@ def _grid_values(grid: dict) -> list[float]:
     try:
         return protocol.delta_grid(*(_float_value(grid[key], f"protocol.grid.{key}")
                                      for key in ("start", "stop", "step")))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"grid needs numeric start <= stop and step > 0, got {grid!r} "
                           f"({e})") from None
@@ -177,10 +181,15 @@ def _int_field(cfg: dict, path: str) -> int | None:
 
 
 def _float_value(value, path: str) -> float:
-    """value as a float: an int or a float, not a bool or a numeric string."""
+    """value as a float: an int or a float, not a bool or a numeric string,
+    nor an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path} must be a number, got an integer of "
+                          f"{len(str(abs(value)))} digits, too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,11 @@ def _transmit_batch(encoder: nn.Network, images: np.ndarray, draw: ChannelDraw,
     return apply_channel(s, draw), (cache, draw)
 
 
+def _symbols(encoder: nn.Network, images: np.ndarray) -> np.ndarray:
+    """The power-normalized symbols an inference encoder sends for a batch."""
+    return power_norm_forward(encoder.forward(images))[0]
+
+
 def _transmit_backward(encoder: nn.Network, d_received: np.ndarray, cache: tuple) -> None:
     norm_cache, draw = cache
     ds = draw.gain[:, None] * d_received

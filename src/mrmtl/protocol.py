@@ -14,17 +14,28 @@ without touching the channel again. All of them, and calibrate_threshold(),
 share one chunk loop and channel-draw layout over batch-invariant inference,
 so a run_protocol trace equals apply_threshold(evaluate_rounds(...), delta)
 under the same entry rng state, and each sweep row equals a run_protocol call.
+
+An inference encoder reads no rng and no channel, so Round 1's symbols depend
+only on the images and Encoder 1's parameters. calibrate_threshold() keeps
+the power-normalized Round-1 symbols of the split it saw, one entry per
+Encoder 1, keyed by a SHA-256 digest of the images and of that encoder's
+parameters. A later evaluate_rounds() or run_protocol() call whose images and
+parameters hash to the same digest reuses them instead of encoding the split
+again; any change to either, in place or not, misses. The entry dies with its
+encoder, so a freshly loaded model always encodes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelDraw, draw_channel
+from .channel import ChannelConfig, ChannelDraw, apply_channel, draw_channel
 from .dataset import Split
-from .models import DecoderOutput, MrmtlModel, _decode1, _decode2, _transmit_batch
+from .models import DecoderOutput, MrmtlModel, _decode1, _decode2, _symbols, _transmit_batch
 
 # Samples are processed in fixed-size chunks, one spawned rng child per
 # chunk, so channel draws depend only on the entry rng state and the sample
@@ -36,6 +47,10 @@ MAX_GRID_POINTS = 10_001
 
 # The most histogram bins calibrate_threshold() takes: width 1e-4 over [0, 1].
 MAX_NUM_BINS = 10_000
+
+# calibrate_threshold()'s Round-1 symbols, one entry per Encoder 1:
+# encoder -> (images shape, digest of images and parameters, (N, nc1) symbols).
+_SYMBOLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class CalibrationError(RuntimeError):
@@ -92,8 +107,39 @@ class CalibrationStats:
     separated: bool
 
 
+def _digest(images: np.ndarray, encoder) -> bytes:
+    """SHA-256 over the images and the encoder's parameters: name, shape,
+    dtype and bytes of each array."""
+    h = hashlib.sha256()
+    for name, a in [("images", images), *encoder.param_items()]:
+        a = np.ascontiguousarray(a)
+        h.update(f"{name} {a.shape} {a.dtype.str};".encode())
+        h.update(a.data)
+    return h.digest()
+
+
+def _round1_symbols(encoder, images: np.ndarray, bounds, keep: bool) -> np.ndarray:
+    """Encoder 1's power-normalized symbols for every image, one chunk at a time.
+
+    Taken from _SYMBOLS when its entry for this encoder has the same images
+    shape and digest; the digest is computed only then, or to keep a new
+    entry when keep is set.
+    """
+    entry = _SYMBOLS.get(encoder)
+    digest = None
+    if entry is not None and entry[0] == images.shape:
+        digest = _digest(images, encoder)
+        if digest == entry[1]:
+            return entry[2]
+    symbols = np.concatenate([_symbols(encoder, images[lo:hi]) for lo, hi in bounds])
+    if keep:
+        symbols.flags.writeable = False
+        _SYMBOLS[encoder] = (images.shape, digest or _digest(images, encoder), symbols)
+    return symbols
+
+
 def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
-                 delta: float) -> tuple[np.ndarray, np.ndarray]:
+                 delta: float, keep: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Decoder-head probabilities for every sample, one CHUNK at a time.
 
     Round 1 runs on every sample. Round 2 runs only on the samples whose
@@ -101,30 +147,32 @@ def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
     apply_threshold: delta = inf runs it everywhere, delta = 0 nowhere. Rows
     of the Round-2 array that did not run hold NaN.
 
-    Each chunk draws its Round-1 channel, then (if any of its samples
-    escalates) its Round-2 channel for the whole chunk, from its own rng
-    child; nothing else reads that child, so every draw a sample sees is
-    the one a full pass gives it, whichever samples escalate; inference is
-    batch invariant (mrmtl.nn.layers), so its probabilities are too.
+    Round 1's symbols come from _round1_symbols, which keeps them in
+    _SYMBOLS when keep is set. Each chunk draws its Round-1 channel, then
+    (if any of its samples escalates) its Round-2 channel for the whole
+    chunk, from its own rng child; nothing else reads that child, so every
+    draw a sample sees is the one a full pass gives it, whichever samples
+    escalate; inference is batch invariant (mrmtl.nn.layers), so its
+    probabilities are too.
     """
     n = len(split)
     if n == 0:
         raise ValueError("empty sample set")
     bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+    symbols = _round1_symbols(model.encoder1, split.images, bounds, keep)
     k = model.decoder1.output_shape[0]
     probs1 = np.empty((n, k))
     probs2 = np.full((n, k), np.nan)
     for (lo, hi), crng in zip(bounds, rng.spawn(len(bounds))):
-        images = split.images[lo:hi]
         draw1 = draw_channel(channel_cfg, hi - lo, model.nc1, crng)
-        r1, _ = _transmit_batch(model.encoder1, images, draw1, False, None)
+        r1 = apply_channel(symbols[lo:hi], draw1)
         probs1[lo:hi] = _decode1(model, r1)
         rows = np.flatnonzero(probs1[lo:hi].max(axis=1) < delta)
         if rows.size == 0:
             continue
         draw2 = draw_channel(channel_cfg, hi - lo, model.nc2, crng)
         draw2 = ChannelDraw(gain=draw2.gain[rows], noise=draw2.noise[rows])
-        r2, _ = _transmit_batch(model.encoder2, images[rows], draw2, False, None)
+        r2, _ = _transmit_batch(model.encoder2, split.images[lo:hi][rows], draw2, False, None)
         probs2[lo + rows] = _decode2(model, r1[rows], r2)
     return probs1, probs2
 
@@ -283,10 +331,16 @@ def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
     whether the prediction was correct, and returns the conditional means,
     their midpoint, and fixed-width histograms over [0, 1]. The Round-1
     draws equal those of evaluate_rounds under the same entry rng state.
+
+    The split's power-normalized Round-1 symbols are kept in _SYMBOLS for
+    model.encoder1, replacing its previous entry, under a SHA-256 digest of
+    split.images and of the encoder's parameters. evaluate_rounds() and
+    run_protocol() reuse them while both still hash the same; the entry dies
+    with the encoder.
     """
     if not 1 <= num_bins <= MAX_NUM_BINS:
         raise ValueError(f"num_bins must lie in [1, {MAX_NUM_BINS}]")
-    probs, _ = _round_probs(model, split, channel_cfg, rng, 0.0)
+    probs, _ = _round_probs(model, split, channel_cfg, rng, 0.0, keep=True)
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == split.labels
     n = len(split)

@@ -316,6 +316,19 @@ class TestTrainCommand:
         assert f"{key} must be a number" in err and "True" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["training.lr", "training.loss_weight", "channel.snr_db",
+                                     "protocol.delta", "protocol.grid.start",
+                                     "protocol.grid.stop", "protocol.grid.step"])
+    def test_integer_too_large_for_a_float_is_named(self, tmp_path, capsys, key):
+        # float() of a 401-digit integer overflows; the key is named, exit 2
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**nested(key, 10 ** 400), "output_dir": str(out)}))
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert (f"{key} must be a number, got an integer of 401 digits"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("training.lr", "0.001"), ("training.loss_weight", "0.5"), ("channel.snr_db", "10"),
         ("protocol.grid.start", "0"), ("protocol.grid.stop", "1"), ("protocol.grid.step", "0.1"),
@@ -483,6 +496,37 @@ class TestEvaluateCommand:
         doc_a["config"].pop("output_dir")
         doc_b["config"].pop("output_dir")
         assert doc_a == doc_b
+
+    @pytest.mark.parametrize("split", ["test", "train"])
+    def test_auto_delta_encodes_each_split_once(self, trained_run, tmp_path, monkeypatch,
+                                                capsys, split):
+        # calibrate_threshold leaves its Round-1 symbols for evaluate_rounds,
+        # so a test split calibrated on is not encoded a second time
+        rows = []
+        load_bundle = cli.load_bundle
+
+        def counting_load(path):
+            model, manifest = load_bundle(path)
+            forward = model.encoder1.forward
+
+            def counting(x, *args, **kwargs):
+                rows.append(x.shape[0])
+                return forward(x, *args, **kwargs)
+
+            monkeypatch.setattr(model.encoder1, "forward", counting)
+            return model, manifest
+
+        monkeypatch.setattr(cli, "load_bundle", counting_load)
+        cfg = {**trained_run["cfg"],
+               "protocol": {**RUN_CONFIG["protocol"], "calibration_split": split}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["evaluate", "--config", str(path), "--delta", "auto",
+                         "--bundle", str(trained_run["out"] / "mrmtl"),
+                         "-o", str(tmp_path / "out")])
+        assert code == 0
+        ds = validate_config(load_run_config(ns(config=str(path)))).load_dataset()
+        assert sum(rows) == len(ds.test) + (len(ds.train) if split == "train" else 0)
 
     def test_report_echoes_the_evaluated_bundle(self, tmp_path, capsys):
         # the run config's arch and training defaults did not build this bundle

@@ -1,5 +1,9 @@
 """Dynamic round selection: thresholding, statistics, calibration, sweeps."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,15 @@ from conftest import random_split, small_mrmtl
 from mrmtl import protocol
 from mrmtl.channel import ChannelConfig
 from mrmtl.dataset import Split
-from mrmtl.models import MrmtlModel, build_decoder, build_encoder
+from mrmtl.models import (
+    ArchitectureConfig,
+    MrmtlModel,
+    TrainConfig,
+    build_decoder,
+    build_encoder,
+    load_bundle,
+    save_bundle,
+)
 from mrmtl.protocol import (
     CalibrationError,
     RoundCache,
@@ -395,3 +407,127 @@ class TestGatedRoundTwo:
                       for lo in range(0, len(traces), protocol.CHUNK))
             want = [k for k in (sum(t.escalated for t in c) for c in chunks) if k]
             assert seen["encoder2"] == seen["decoder2"] == want
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """A saved 3x8x8 MRMTL bundle: each load_bundle is a fresh, uncalibrated model."""
+    path = tmp_path_factory.mktemp("memo_bundle")
+    return save_bundle(small_mrmtl(seed=3), path, ArchitectureConfig(nc=4),
+                       ChannelConfig(seed=0), TrainConfig(epochs=0), "random")
+
+
+@pytest.fixture
+def symbols(monkeypatch):
+    """An empty protocol._SYMBOLS for one test."""
+    memo = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(protocol, "_SYMBOLS", memo)
+    return memo
+
+
+def encoder1_rows(monkeypatch, model) -> list[int]:
+    """The row count of every Encoder-1 forward from now on."""
+    rows = []
+    forward = model.encoder1.forward
+
+    def counting(x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(model.encoder1, "forward", counting)
+    return rows
+
+
+def outputs(call: str, model, split, cfg, delta: float) -> list:
+    """Every field of evaluate_rounds' cache, or of run_protocol's traces,
+    as bytes or plain values, for bit-for-bit comparison."""
+    rng = np.random.default_rng(31)
+    if call == "evaluate_rounds":
+        cache = evaluate_rounds(model, split, cfg, rng)
+        values = (getattr(cache, f.name) for f in dataclasses.fields(cache))
+        return [v.tobytes() if isinstance(v, np.ndarray) else v for v in values]
+    return [(t.sample_index, t.round1.probs.tobytes(), t.round1.confidence,
+             t.round1.predicted, t.escalated,
+             None if t.round2 is None else (t.round2.probs.tobytes(), t.round2.predicted),
+             t.final_predicted, t.true_label, t.delay)
+            for t in run_protocol(model, split, delta, cfg, rng)]
+
+
+@pytest.mark.parametrize("call", ["evaluate_rounds", "run_protocol"])
+class TestRoundOneMemo:
+    """calibrate_threshold keeps its Round-1 symbols for the next call on the
+    same split; every result equals a fresh, uncalibrated load's bit for bit."""
+
+    @staticmethod
+    def _calibrate(model, split, rayleigh_cfg) -> float:
+        stats = calibrate_threshold(model, split, rayleigh_cfg, np.random.default_rng(30))
+        return stats.delta_star
+
+    def test_same_split_hits(self, bundle, symbols, monkeypatch, rayleigh_cfg, call):
+        model, _ = load_bundle(bundle)
+        split = random_split(n=150)
+        delta = self._calibrate(model, split, rayleigh_cfg)
+        rows = encoder1_rows(monkeypatch, model)
+        got = outputs(call, model, split, rayleigh_cfg, delta)
+        assert rows == []
+        want = outputs(call, load_bundle(bundle)[0], split, rayleigh_cfg, delta)
+        assert got == want
+        if call == "run_protocol":
+            assert 0 < sum(t[4] for t in got) < len(split)
+
+    def test_images_changed_in_place_miss(self, bundle, symbols, monkeypatch,
+                                          rayleigh_cfg, call):
+        model, _ = load_bundle(bundle)
+        split = random_split(n=150)
+        delta = self._calibrate(model, split, rayleigh_cfg)
+        split.images[70, 1, 2, 3] += 0.25
+        rows = encoder1_rows(monkeypatch, model)
+        got = outputs(call, model, split, rayleigh_cfg, delta)
+        assert sum(rows) == len(split)
+        assert got == outputs(call, load_bundle(bundle)[0], split, rayleigh_cfg, delta)
+
+    def test_encoder_weight_changed_in_place_misses(self, bundle, symbols, monkeypatch,
+                                                    rayleigh_cfg, call):
+        model, _ = load_bundle(bundle)
+        fresh, _ = load_bundle(bundle)
+        split = random_split(n=150)
+        delta = self._calibrate(model, split, rayleigh_cfg)
+        for m in (model, fresh):
+            m.encoder1.param_items()[0][1].flat[5] += 0.25
+        rows = encoder1_rows(monkeypatch, model)
+        got = outputs(call, model, split, rayleigh_cfg, delta)
+        assert sum(rows) == len(split)
+        assert got == outputs(call, fresh, split, rayleigh_cfg, delta)
+
+    def test_other_split_of_the_same_shape_misses(self, bundle, symbols, monkeypatch,
+                                                  rayleigh_cfg, call):
+        model, _ = load_bundle(bundle)
+        delta = self._calibrate(model, random_split(n=150, seed=1), rayleigh_cfg)
+        split = random_split(n=150, seed=2)
+        rows = encoder1_rows(monkeypatch, model)
+        got = outputs(call, model, split, rayleigh_cfg, delta)
+        assert sum(rows) == len(split)
+        assert got == outputs(call, load_bundle(bundle)[0], split, rayleigh_cfg, delta)
+
+    def test_uncalibrated_calls_keep_and_hash_nothing(self, bundle, symbols, monkeypatch,
+                                                      awgn_cfg, call):
+        digests = []
+        digest = protocol._digest
+
+        def counting(*args):
+            digests.append(args)
+            return digest(*args)
+
+        monkeypatch.setattr(protocol, "_digest", counting)
+        model, _ = load_bundle(bundle)
+        outputs(call, model, random_split(n=150), awgn_cfg, 0.5)
+        assert len(symbols) == 0 and digests == []
+
+
+def test_memo_entry_dies_with_its_encoder(bundle, symbols, awgn_cfg):
+    model, _ = load_bundle(bundle)
+    calibrate_threshold(model, random_split(n=70), awgn_cfg, np.random.default_rng(0))
+    assert list(symbols) == [model.encoder1]
+    del model
+    gc.collect()
+    assert len(symbols) == 0
