@@ -35,7 +35,7 @@ BUNDLE = Path(__file__).parent / "output" / "mrmtl"
 dataset = make_synthetic(num_classes=10, per_class=40, seed=0)
 if BUNDLE.is_dir():
     model, manifest = load_bundle(BUNDLE)
-    channel_cfg = ChannelConfig.from_dict(manifest["channel"])
+    channel_cfg = ChannelConfig(**manifest["channel"])
     print(f"loaded bundle: {BUNDLE}")
 else:
     print("no bundle found, training a quick stand-in (one epoch)")

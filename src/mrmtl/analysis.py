@@ -43,12 +43,6 @@ class ConfusionMatrix:
     counts: np.ndarray
     class_names: list[str]
 
-    def accuracy(self) -> float:
-        total = int(self.counts.sum())
-        if total == 0:
-            raise ValueError("empty confusion matrix")
-        return int(np.trace(self.counts)) / total
-
 
 def confusion(predicted, true_labels, num_classes: int,
               class_names: list[str] | None) -> ConfusionMatrix:

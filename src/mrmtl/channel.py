@@ -32,10 +32,6 @@ class ChannelConfig:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "snr_db": self.snr_db, "seed": self.seed}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ChannelConfig":
-        return ChannelConfig(kind=d["kind"], snr_db=float(d["snr_db"]), seed=int(d["seed"]))
-
 
 @dataclass(frozen=True)
 class ChannelDraw:

@@ -15,10 +15,10 @@ MARGIN = {"left": 64, "right": 20, "top": 40, "bottom": 48}
 COLORS = ["#1f6fb2", "#c0392b", "#27903f", "#8e44ad"]
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / 5  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

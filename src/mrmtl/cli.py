@@ -5,7 +5,7 @@ win). Every command validates the merged config fully before touching the
 filesystem, trains or loads model bundles, and emits the artifact files
 defined by the analysis module. Exit codes: 0 success, 2 usage, config or
 input problems (including corrupt bundles and checkpoints), 3 runtime
-failures such as training divergence.
+failures such as training divergence or running out of memory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, charts, protocol
-from .channel import ChannelConfig
+from .channel import CHANNEL_KINDS, ChannelConfig
 from .dataset import (CIFAR10_CLASS_NAMES, CifarFormatError, Dataset, dataset_fingerprint,
                       load_cifar10, make_synthetic)
 from .models import (
@@ -212,7 +212,9 @@ def validate_config(cfg: dict) -> Run:
     """Check a merged config fully, before any side effect, and parse it.
 
     The only reader of the config's values: commands read the returned Run.
+    A key cfg leaves out takes its DEFAULT_CONFIG value, as in a config file.
     """
+    cfg = _deep_update(json.loads(json.dumps(DEFAULT_CONFIG)), cfg)
     for section, default in DEFAULT_CONFIG.items():
         if isinstance(default, dict) and not isinstance(cfg.get(section), dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
@@ -421,7 +423,7 @@ def _add_common(p: argparse.ArgumentParser, bundle: bool = False) -> None:
     the model from its trained bundle, so only train has model flags."""
     p.add_argument("--config", help="JSON run configuration file")
     p.add_argument("--output", "-o", help="output directory")
-    p.add_argument("--channel", choices=["awgn", "rayleigh"], help="channel kind")
+    p.add_argument("--channel", choices=CHANNEL_KINDS, help="channel kind")
     p.add_argument("--snr-db", type=float, help="signal-to-noise ratio in dB")
     p.add_argument("--seed", type=int, help="seeds the channel streams" if bundle
                    else "seeds training and channel streams")
@@ -475,8 +477,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, NumericError, protocol.CalibrationError, OSError,
-            ValueError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+            ValueError, RuntimeError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -48,10 +48,6 @@ class Dataset:
     test: Split
     class_names: tuple[str, ...]
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
-
 
 def _read_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)

@@ -72,10 +72,6 @@ class ArchitectureConfig:
         return {"nc": self.nc, "nc1": self.nc1, "nc2": self.nc2,
                 "num_classes": self.num_classes, "decoder_hidden": self.decoder_hidden}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ArchitectureConfig":
-        return ArchitectureConfig(**d)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -242,14 +238,14 @@ def mrmtl_loss(model: MrmtlModel, images, labels, draw1: ChannelDraw, draw2: Cha
 
 
 def mrmtl_loss_and_grads(model, images, labels, draw1: ChannelDraw,
-                         draw2: ChannelDraw | None, rng, w: float | None = None):
+                         draw2: ChannelDraw | None, rng):
     """Training pass of the joint loss; gradients land on every network.
 
     Round-1 received symbols feed both decoders, so the gradient into r1 is
-    the sum of Decoder 1's (weighted by w) and the first nc1 columns of
-    Decoder 2's (weighted by 1-w). With draw2 None, round 1 runs alone on
-    its unweighted loss, the single-round case; that returns
-    (l1, l1, None, probs1, None).
+    the sum of Decoder 1's (weighted by w, the model's loss_weight) and the
+    first nc1 columns of Decoder 2's (weighted by 1-w). With draw2 None,
+    round 1 runs alone on its unweighted loss, the single-round case; that
+    returns (l1, l1, None, probs1, None).
     """
     probs1, probs2, (cache1, cache2) = _forward(model, images, draw1, draw2, True, rng)
     l1 = nn.cross_entropy(probs1, labels)
@@ -257,7 +253,7 @@ def mrmtl_loss_and_grads(model, images, labels, draw1: ChannelDraw,
         d_r1 = model.decoder1.backward(nn.cross_entropy_grad(probs1, labels))
         _transmit_backward(model.encoder1, d_r1, cache1)
         return l1, l1, None, probs1, None
-    w = model.loss_weight if w is None else w
+    w = model.loss_weight
     l2 = nn.cross_entropy(probs2, labels)
 
     d_r1 = model.decoder1.backward(w * nn.cross_entropy_grad(probs1, labels))
@@ -438,7 +434,7 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
     if manifest.get("format_version") != BUNDLE_VERSION:
         raise BundleError(f"unsupported bundle version {manifest.get('format_version')!r}")
     try:
-        arch = ArchitectureConfig.from_dict(manifest["architecture"])
+        arch = ArchitectureConfig(**manifest["architecture"])
         mode = manifest["mode"]
         loss_weight = manifest["training"]["loss_weight"] if mode == "mrmtl" else None
     except (KeyError, TypeError, ValueError) as e:

@@ -107,17 +107,15 @@ def _im2col_index(C: int, Hp: int, Wp: int, k: int) -> np.ndarray:
     return idx
 
 
-def _im2col(xp: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """(B, C, Hp, Wp) padded input -> contiguous (B*H*W, C*k*k) patch matrix.
 
     Row b*H*W + h*W + w is the patch under output pixel (h, w) of image b,
     flattened in (channel, kernel row, kernel column) order. One gather, into
-    out when given (it must have that shape and xp's dtype).
+    out, which must have that shape and xp's dtype.
     """
     B, C, Hp, Wp = xp.shape
     idx = _im2col_index(C, Hp, Wp, k)
-    if out is None:
-        out = np.empty((B * (Hp - k + 1) * (Wp - k + 1), C * k * k), dtype=xp.dtype)
     # Every offset is in range, so "clip" changes nothing; with out= the
     # default "raise" would gather into a temporary first and then copy.
     np.take(xp.reshape(B, -1), idx, axis=1, out=out.reshape(B, -1), mode="clip")
@@ -336,9 +334,7 @@ class Dropout(Layer):
         return in_shape
 
     def forward(self, x, train, rng):
-        if not train or self.rate == 0.0:
-            if train:
-                self._cache = np.ones_like(x)
+        if not train:
             return x
         if rng is None:
             raise ValueError("dropout in training mode needs an rng stream")
@@ -425,7 +421,7 @@ class Dense(Layer):
 LAYER_KINDS = {cls.kind: cls for cls in (Conv2D, MaxPool2D, Dropout, Flatten, Dense)}
 
 
-def layer_from_config(cfg: dict, rng=None) -> Layer:
+def layer_from_config(cfg: dict) -> Layer:
     """Rebuild a layer from its config() dict. Parameters are left at init values."""
     kind = cfg.get("kind")
     if kind not in LAYER_KINDS:
@@ -435,7 +431,4 @@ def layer_from_config(cfg: dict, rng=None) -> Layer:
         # Decoders once ended in a softmax Dense; they now emit logits and the
         # caller applies softmax, so such a head is the same layer, linear.
         kwargs["activation"] = "linear"
-    cls = LAYER_KINDS[kind]
-    if cls in (Conv2D, Dense):
-        kwargs["rng"] = rng
-    return cls(**kwargs)
+    return LAYER_KINDS[kind](**kwargs)

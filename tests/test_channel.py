@@ -96,7 +96,7 @@ class TestChannelConfig:
 
     def test_dict_roundtrip(self):
         cfg = channel.ChannelConfig(kind="rayleigh", snr_db=4.0, seed=9)
-        assert channel.ChannelConfig.from_dict(cfg.to_dict()) == cfg
+        assert channel.ChannelConfig(**cfg.to_dict()) == cfg
 
     def test_frozen(self):
         cfg = channel.ChannelConfig()

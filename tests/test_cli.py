@@ -1,5 +1,6 @@
 """Command-line behavior: config merging, subcommand flows, exit codes."""
 
+import dataclasses
 import json
 import shutil
 import types
@@ -40,6 +41,14 @@ RUN_CONFIG = {
 INT_FIELDS = [f"{section}.{key}" for section, fields in DEFAULT_CONFIG.items()
               if isinstance(fields, dict) for key, value in fields.items()
               if value is None or (isinstance(value, int) and not isinstance(value, bool))]
+
+
+
+def leaves(cfg: dict, prefix: str = "") -> list[str]:
+    """The dotted paths of cfg's non-dict values, as "protocol.grid.step"."""
+    return [path for key, value in cfg.items()
+            for path in (leaves(value, f"{prefix}{key}.") if isinstance(value, dict)
+                         else [prefix + key])]
 
 
 def nested(path: str, value) -> dict:
@@ -143,6 +152,25 @@ class TestConfigValidation:
         ds = validate_config(cfg).load_dataset()
         assert len(ds.train) == 15
         assert len(ds.test) == 3
+
+    @pytest.mark.parametrize("leaf", leaves(DEFAULT_CONFIG))
+    def test_omitted_key_takes_its_default(self, leaf):
+        # a partial config behaves as a partial config file does through the CLI
+        cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+        *sections, key = leaf.split(".")
+        parent = cfg
+        for section in sections:
+            parent = parent[section]
+        del parent[key]
+        before = json.loads(json.dumps(DEFAULT_CONFIG))
+
+        def comparable(run):
+            return dataclasses.replace(
+                run, load_dataset=(run.load_dataset.func, run.load_dataset.args))
+
+        assert (comparable(validate_config(cfg))
+                == comparable(validate_config(json.loads(json.dumps(DEFAULT_CONFIG)))))
+        assert DEFAULT_CONFIG == before
 
     def test_bad_calibration_split(self):
         cfg = load_run_config(ns())
@@ -263,6 +291,23 @@ class TestTrainCommand:
         assert cli.main([command, "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("error, message", [
+        pytest.param(MemoryError("Unable to allocate 14.6 TiB for an array"),
+                     "Unable to allocate 14.6 TiB for an array", id="numpy-message"),
+        pytest.param(MemoryError(), "MemoryError", id="bare"),
+    ])
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys, error, message):
+        # a stand-in raises it: a real huge allocation may not fail fast on a
+        # machine that overcommits memory
+        def too_large(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "make_synthetic", too_large)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
         out = tmp_path / "run"

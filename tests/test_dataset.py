@@ -70,7 +70,7 @@ class TestMakeSynthetic:
         assert len(ds.train) == 800
         assert len(ds.test) == 200
         assert ds.train.images.shape == (800, 3, 32, 32)
-        assert ds.num_classes == 10
+        assert len(ds.class_names) == 10
 
     def test_value_range_and_balance(self):
         ds = make_synthetic(4, 10, 1)

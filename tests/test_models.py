@@ -45,7 +45,7 @@ class TestConfigs:
 
     def test_architecture_dict_roundtrip(self):
         arch = ArchitectureConfig(nc=5, nc1=3, nc2=7, num_classes=4, decoder_hidden=9)
-        assert ArchitectureConfig.from_dict(arch.to_dict()) == arch
+        assert ArchitectureConfig(**arch.to_dict()) == arch
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):

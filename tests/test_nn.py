@@ -313,7 +313,9 @@ def test_conv_bitwise_matches_reference_across_alternating_shapes():
         p = (k - 1) // 2
         x = rng.normal(size=(2, C, H, W))
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        assert _same_bits(_im2col(xp, k), ref_im2col(xp, k).reshape(-1, C * k * k))
+        out = np.empty((2 * H * W, C * k * k))
+        assert _im2col(xp, k, out) is out
+        assert _same_bits(out, ref_im2col(xp, k).reshape(-1, C * k * k))
         idx = _im2col_index(C, H + 2 * p, W + 2 * p, k)
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
@@ -782,8 +784,8 @@ def test_adam_in_place_moments_match_out_of_place_formula():
     rng = np.random.default_rng(7)
     net = nn.Network([nn.Dense(6, 5, "relu", rng=rng), nn.Dense(5, 3, "linear", rng=rng)],
                      (6,))
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    opt = nn.Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 1e-2, nn.Adam.beta1, nn.Adam.beta2, nn.Adam.eps
+    opt = nn.Adam(lr=lr)
     want = {n: p.copy() for n, p in net.param_items()}
     m = {n: np.zeros_like(p) for n, p in want.items()}
     v = {n: np.zeros_like(p) for n, p in want.items()}
