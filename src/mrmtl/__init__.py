@@ -3,84 +3,22 @@
 A numpy implementation of learned image transmission where the receiver
 performs classification directly on received symbols and requests a second
 transmission round only when its confidence falls below a threshold.
+
+Names are imported from their modules (``from mrmtl.protocol import
+run_protocol``). The package itself holds the five modules the benchmark in
+``perfbench/`` reads through it, and the five names that benchmark reads
+from the package directly; ``perfbench/`` is the benchmark's own directory
+and is not edited alongside the library.
 """
 
-from .analysis import (
-    ConfusionMatrix,
-    RunReport,
-    build_report,
-    confusion,
-    emit_report,
-    read_sweep_csv,
-    read_traces_csv,
-    write_sweep_csv,
-    write_traces_csv,
-)
-from .channel import (
-    ChannelConfig,
-    ChannelDraw,
-    apply_channel,
-    draw_channel,
-    noise_variance,
-)
-from .dataset import (
-    CifarFormatError,
-    Dataset,
-    Split,
-    batches,
-    dataset_fingerprint,
-    load_cifar10,
-    make_synthetic,
-)
-from .models import (
-    ArchitectureConfig,
-    BundleError,
-    DecoderOutput,
-    MrmtlModel,
-    SrstlModel,
-    TrainConfig,
-    TrainingError,
-    build_decoder,
-    build_encoder,
-    load_bundle,
-    mrmtl_loss,
-    save_bundle,
-    train_mrmtl,
-    train_srstl,
-)
-from .protocol import (
-    CalibrationError,
-    CalibrationStats,
-    ProtocolTrace,
-    RoundCache,
-    accuracy_decomposition,
-    apply_threshold,
-    average_delay,
-    calibrate_threshold,
-    default_delta_grid,
-    delay_decomposition,
-    escalation_rate,
-    evaluate_rounds,
-    run_protocol,
-    task_accuracy,
-    threshold_midpoint,
-)
+from . import analysis, channel, dataset, models, protocol
+from .channel import ChannelConfig
+from .dataset import Dataset, dataset_fingerprint
+from .models import ArchitectureConfig, TrainConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchitectureConfig", "BundleError", "CalibrationError", "CalibrationStats",
-    "ChannelConfig", "ChannelDraw", "CifarFormatError", "ConfusionMatrix",
-    "Dataset", "DecoderOutput", "MrmtlModel", "ProtocolTrace", "RoundCache",
-    "RunReport", "Split", "SrstlModel", "TrainConfig", "TrainingError",
-    "accuracy_decomposition", "apply_channel", "apply_threshold", "average_delay",
-    "batches", "build_decoder", "build_encoder", "build_report",
-    "calibrate_threshold", "confusion",
-    "dataset_fingerprint", "default_delta_grid", "delay_decomposition",
-    "draw_channel", "emit_report", "escalation_rate", "evaluate_rounds",
-    "load_bundle", "load_cifar10", "make_synthetic", "mrmtl_loss",
-    "noise_variance", "read_sweep_csv", "read_traces_csv",
-    "run_protocol", "save_bundle", "task_accuracy",
-    "threshold_midpoint", "train_mrmtl", "train_srstl", "write_sweep_csv",
-    "write_traces_csv",
+    "ArchitectureConfig", "ChannelConfig", "Dataset", "TrainConfig", "analysis",
+    "channel", "dataset", "dataset_fingerprint", "models", "protocol",
 ]

@@ -214,6 +214,8 @@ def write_confusion_csv(matrix: ConfusionMatrix, path) -> None:
 def read_confusion_csv(path) -> ConfusionMatrix:
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
+    if not rows:
+        raise ValueError(f"confusion table in {path} is empty")
     names = rows[0][1:]
     counts = np.array([[int(v) for v in row[1:]] for row in rows[1:]], dtype=np.int64)
     if counts.shape != (len(names), len(names)):

@@ -277,7 +277,7 @@ def validate_config(cfg: dict) -> Run:
 
 def _bundle_setup(args) -> tuple[dict, Run, MrmtlModel, dict, Dataset]:
     """What calibrate and evaluate start from: the merged config and its
-    parsed Run, the MRMTL bundle and its manifest, and the dataset."""
+    parsed Run, the MRMTL bundle and its manifest, and a dataset it fits."""
     cfg = load_run_config(args)
     run = validate_config(cfg)
     path = Path(args.bundle or run.output_dir / "mrmtl")
@@ -287,7 +287,13 @@ def _bundle_setup(args) -> tuple[dict, Run, MrmtlModel, dict, Dataset]:
     if manifest["mode"] != "mrmtl":
         raise ConfigError(f"bundle at {path} is {manifest['mode']}, need mrmtl "
                           "for protocol evaluation")
-    return cfg, run, model, manifest, run.load_dataset()
+    dataset = run.load_dataset()
+    bundle_io = (model.encoder1.input_shape, model.decoder1.output_shape[0])
+    data_io = (dataset.test.images.shape[1:], len(dataset.class_names))
+    if bundle_io != data_io:
+        raise ConfigError(f"bundle at {path} takes {bundle_io[0]} images in {bundle_io[1]} "
+                          f"classes, the dataset has {data_io[0]} images in {data_io[1]}")
+    return cfg, run, model, manifest, dataset
 
 
 def _calibrate(model: MrmtlModel, dataset: Dataset, run: Run):

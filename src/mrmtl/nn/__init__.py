@@ -5,10 +5,8 @@ from .layers import (
     Dense,
     Dropout,
     Flatten,
-    Layer,
     MaxPool2D,
     ShapeError,
-    layer_from_config,
     softmax,
 )
 from .loss import cross_entropy, cross_entropy_grad
@@ -23,14 +21,12 @@ __all__ = [
     "Dense",
     "Dropout",
     "Flatten",
-    "Layer",
     "MaxPool2D",
     "Network",
     "NumericError",
     "ShapeError",
     "cross_entropy",
     "cross_entropy_grad",
-    "layer_from_config",
     "load_checkpoint",
     "save_checkpoint",
     "softmax",

@@ -61,7 +61,8 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     """Rebuild the network and its parameters; returns (net, header).
 
     Raises CheckpointError unless the file is exactly one header followed by
-    the tensors it lists.
+    the tensors it lists, and the header lists each of the architecture's
+    tensors exactly once.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -79,16 +80,18 @@ def load_checkpoint(path) -> tuple[Network, dict]:
             raise CheckpointError(f"{path.name}: malformed checkpoint header: {e}") from None
         params = dict(net.param_items())
         for name, shape in entries:
-            target = params.get(name)
+            target = params.pop(name, None)  # so a second listing finds nothing
             if target is None or target.shape != shape:
                 raise CheckpointError(
-                    f"{path.name}: tensor {name} shape {shape} does not match "
-                    f"architecture {None if target is None else target.shape}"
+                    f"{path.name}: tensor {name} shape {shape} does not match architecture "
+                    f"{'(unknown or listed twice)' if target is None else target.shape}"
                 )
             buf = f.read(target.size * 8)
             if len(buf) != target.size * 8:
                 raise CheckpointError(f"{path.name}: truncated tensor {name}")
             target[...] = np.frombuffer(buf, dtype="<f8").reshape(shape)
+        if params:
+            raise CheckpointError(f"{path.name}: header omits tensors {sorted(params)}")
         if f.read(1):
             raise CheckpointError(f"{path.name}: trailing bytes after the last tensor")
     return net, header

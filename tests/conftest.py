@@ -5,6 +5,9 @@ Session-scoped model fixtures are treated as immutable; tests that train or
 otherwise mutate parameters build their own instances.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,23 @@ def write_fake_cifar(dir_path, per_file: int = 3, seed: int = 0) -> dict:
         (dir_path / name).write_bytes(records.tobytes())
         raw[name] = (labels, pixels)
     return raw
+
+
+def edit_checkpoint_tensors(path, edit) -> None:
+    """Rewrite a checkpoint with its tensors, header entries and body bytes
+    alike, replaced by edit([(entry, raw bytes), ...])."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[:4])
+    header = json.loads(blob[4:4 + hlen])
+    tensors, offset = [], 4 + hlen
+    for entry in header["tensors"]:
+        size = 8 * int(np.prod(entry["shape"]))
+        tensors.append((entry, blob[offset:offset + size]))
+        offset += size
+    tensors = edit(tensors)
+    header["tensors"] = [entry for entry, _ in tensors]
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(struct.pack("<I", len(new)) + new + b"".join(raw for _, raw in tensors))
 
 
 def pytest_configure(config):

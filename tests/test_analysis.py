@@ -126,6 +126,12 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="square"):
             read_confusion_csv(path)
 
+    def test_empty_confusion_file_rejected(self, tmp_path):
+        path = tmp_path / "confusion.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty"):
+            read_confusion_csv(path)
+
 
 class TestReports:
     def _report(self, seed=24):

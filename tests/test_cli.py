@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import write_fake_cifar
+from conftest import edit_checkpoint_tensors, small_mrmtl, write_fake_cifar
 from mrmtl import cli, protocol
 from mrmtl.analysis import read_sweep_csv
 from mrmtl.cli import (
@@ -20,6 +20,8 @@ from mrmtl.cli import (
     load_run_config,
     validate_config,
 )
+from mrmtl.channel import ChannelConfig
+from mrmtl.models import ArchitectureConfig, TrainConfig, save_bundle
 from mrmtl.protocol import default_delta_grid
 
 
@@ -658,6 +660,80 @@ class TestCorruptBundle:
         assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
         err = capsys.readouterr().err
         assert "encoder1.ckpt has output width" in err and "nc1=" in err
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda tensors: tensors[:-1], "omits tensors"),
+        (lambda tensors: tensors + tensors[-1:], "listed twice"),
+    ], ids=["omitted", "duplicated"])
+    def test_exit_2_on_checkpoint_tensor_list(self, trained_run, tmp_path, capsys,
+                                              edit, message):
+        def corrupt(bundle):
+            edit_checkpoint_tensors(bundle / "decoder1.ckpt", edit)
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestBundleDatasetMismatch:
+    """A bundle that cannot read the configured dataset exits 2, naming both
+    sides, before any inference or write."""
+
+    @pytest.fixture(scope="class")
+    def four_class_bundle(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("four_class")
+        cfg = json.loads(json.dumps(RUN_CONFIG))
+        cfg["dataset"]["num_classes"] = 4
+        cfg["training"]["epochs"] = 0
+        cfg["output_dir"] = str(root / "run")
+        path = root / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(path)]) == 0
+        return root / "run" / "mrmtl"
+
+    @staticmethod
+    def _run(command, bundle, tmp_path, dataset):
+        cfg = json.loads(json.dumps(RUN_CONFIG))
+        cfg["dataset"].update(dataset)
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        extra = ["--delta", "0.5"] if command == "evaluate" else []
+        return cli.main([command, "--config", str(path), "--bundle", str(bundle)] + extra)
+
+    @pytest.fixture
+    def no_inference(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference ran")
+
+        monkeypatch.setattr(protocol, "calibrate_threshold", refuse)
+        monkeypatch.setattr(protocol, "evaluate_rounds", refuse)
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    @pytest.mark.parametrize("num_classes", [10, 3])
+    def test_class_count_mismatch_exits_2(self, four_class_bundle, tmp_path, capsys,
+                                          no_inference, command, num_classes):
+        code = self._run(command, four_class_bundle, tmp_path, {"num_classes": num_classes})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "in 4 classes" in err and f"in {num_classes}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    def test_image_shape_mismatch_exits_2(self, tmp_path, capsys, no_inference, command):
+        bundle = save_bundle(small_mrmtl(), tmp_path / "small", ArchitectureConfig(nc=4),
+                             ChannelConfig("awgn", 10.0, 0), TrainConfig(epochs=0), "none")
+        assert self._run(command, bundle, tmp_path, {}) == 2
+        err = capsys.readouterr().err
+        assert "(3, 8, 8) images" in err and "(3, 32, 32) images" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_same_shape_other_dataset_gets_the_note(self, four_class_bundle, tmp_path,
+                                                    capsys):
+        code = self._run("evaluate", four_class_bundle, tmp_path,
+                         {"num_classes": 4, "seed": 2})
+        assert code == 0
+        assert "note: evaluation dataset differs" in capsys.readouterr().out
 
 
 def _with_protocol_accuracy(report_text: str, value) -> str:

@@ -9,6 +9,7 @@ below.
 import numpy as np
 import pytest
 
+from conftest import edit_checkpoint_tensors
 from gradcheck import gradcheck
 from mrmtl import nn
 
@@ -901,6 +902,32 @@ def test_checkpoint_truncated_header_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(nn.CheckpointError, match="truncated checkpoint header"):
         nn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda tensors: tensors[:-1], r"omits tensors \['layer5.w'\]"),
+    (lambda tensors: tensors + tensors[-1:], "layer5.w .*listed twice"),
+    (lambda tensors: [tensors[-1]] + tensors[1:], "layer5.w .*listed twice"),
+    (lambda tensors: tensors + [({"name": "layer9.w", "shape": [2]}, bytes(16))],
+     "layer9.w .*unknown"),
+], ids=["omitted", "duplicated", "duplicated-in-place-of-another", "unknown"])
+def test_checkpoint_must_list_each_tensor_once(tmp_path, edit, message):
+    # header and body agree, so only the tensor list itself is wrong
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(_tiny_net(seed=15), path)
+    edit_checkpoint_tensors(path, edit)
+    with pytest.raises(nn.CheckpointError, match=message):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_tensor_order_follows_the_header(tmp_path):
+    net = _tiny_net(seed=16)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(net, path)
+    edit_checkpoint_tensors(path, lambda tensors: tensors[::-1])
+    loaded, _ = nn.load_checkpoint(path)
+    for (n1, a), (n2, b) in zip(net.param_items(), loaded.param_items()):
+        assert n1 == n2 and np.array_equal(a, b)
 
 
 def test_checkpoint_version_guard(tmp_path):
