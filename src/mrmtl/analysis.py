@@ -45,8 +45,8 @@ class ConfusionMatrix:
 
 
 def confusion(predicted, true_labels, num_classes: int,
-              class_names: list[str] | None) -> ConfusionMatrix:
-    """Count (true, predicted) pairs; class names default to class0, class1, ..."""
+              class_names: list[str]) -> ConfusionMatrix:
+    """Count (true, predicted) pairs, rows and columns named by class_names."""
     pred = np.asarray(predicted, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     if pred.shape != true.shape:
@@ -56,8 +56,6 @@ def confusion(predicted, true_labels, num_classes: int,
             raise ValueError(f"{name} out of range for {num_classes} classes")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (true, pred), 1)
-    if class_names is None:
-        class_names = [f"class{i}" for i in range(num_classes)]
     if len(class_names) != num_classes:
         raise ValueError("class_names length must equal num_classes")
     return ConfusionMatrix(counts=counts, class_names=list(class_names))
@@ -83,10 +81,9 @@ class RunReport:
             self.generated_at = datetime.now(timezone.utc).isoformat()
 
 
-def build_report(cache: RoundCache, delta: float, config: dict,
-                 sweep_grid=None, calibration: CalibrationStats | None = None,
-                 srstl: dict | None = None,
-                 class_names: list[str] | None = None) -> RunReport:
+def build_report(cache: RoundCache, delta: float, config: dict, *, sweep_grid,
+                 calibration: CalibrationStats | None = None,
+                 srstl: dict | None = None, class_names: list[str]) -> RunReport:
     """Assemble a report from one evaluation cache at one threshold."""
     traces = apply_threshold(cache, delta)
     n = len(cache)
@@ -108,12 +105,11 @@ def build_report(cache: RoundCache, delta: float, config: dict,
         "round1_accuracy": r1_acc,
         "round2_accuracy": r2_acc,
     }
-    sweep = sweep_from_cache(cache, sweep_grid) if sweep_grid is not None else []
     return RunReport(
         config=config,
         mrmtl=mrmtl_section,
         protocol=protocol_section,
-        sweep=sweep,
+        sweep=sweep_from_cache(cache, sweep_grid),
         traces=traces,
         confusion_round1=confusion(cache.round1_pred, cache.true_labels, num_classes,
                                    class_names),

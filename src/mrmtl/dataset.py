@@ -134,20 +134,15 @@ def make_synthetic(num_classes: int, per_class: int, seed: int) -> Dataset:
     )
 
 
-def batches(split: Split, batch_size: int, shuffle_seed: int | None = None):
-    """Yield (images, labels) batches covering the split exactly once.
-
-    With a shuffle seed the order is a deterministic permutation; without,
-    the original order. The last batch may be short.
+def batches(split: Split, batch_size: int, shuffle_seed: int):
+    """Yield (images, labels) batches covering the split exactly once, in
+    the deterministic permutation shuffle_seed picks. The last batch may be
+    short.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(split)
-    if shuffle_seed is None:
-        order = np.arange(n)
-    else:
-        order = np.random.default_rng(shuffle_seed).permutation(n)
-    for start in range(0, n, batch_size):
+    order = np.random.default_rng(shuffle_seed).permutation(len(split))
+    for start in range(0, len(split), batch_size):
         idx = order[start : start + batch_size]
         yield split.images[idx], split.labels[idx]
 

@@ -10,11 +10,15 @@ Two system variants share the same building blocks and one training loop:
 
 All transmissions pass through power normalization, then the channel.
 Channel gains and noise are redrawn on every forward pass; gradients treat
-the drawn gain as a constant multiplier.
+the drawn gain as a constant multiplier. The per-epoch test accuracies come
+from the receiver's chunk loop (protocol._round_probs), with every chunk
+drawing from the training loop's rng.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +36,9 @@ from .channel import (
 )
 from .dataset import Dataset, Split, batches
 
-EVAL_BATCH = 64
+# Inference walks a split in unshuffled chunks of this many samples
+# (protocol._round_probs), so its draws depend only on rng state and order.
+CHUNK = 64
 
 
 class TrainingError(RuntimeError):
@@ -55,16 +61,13 @@ class ArchitectureConfig:
     decoder_hidden: int | None = None
 
     def __post_init__(self):
-        if self.nc1 is None:
-            object.__setattr__(self, "nc1", self.nc)
-        if self.nc2 is None:
-            object.__setattr__(self, "nc2", self.nc)
+        for name in ("nc1", "nc2", "decoder_hidden"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, self.nc)
         if self.nc < 1 or self.nc1 < 1 or self.nc2 < 1:
             raise ValueError("channel-use budgets must be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.decoder_hidden is None:
-            object.__setattr__(self, "decoder_hidden", self.nc)
         if self.decoder_hidden < 1:
             raise ValueError("decoder_hidden must be >= 1")
 
@@ -286,20 +289,18 @@ def mrmtl_head_accuracies(model, split: Split, cfg: ChannelConfig,
                           rng) -> tuple[float, float | None]:
     """Round-1 and Round-2 head accuracies over fresh channel draws.
 
-    An SRSTL model has no Round-2 head, so its second accuracy is None.
+    Runs the receiver's chunk loop with every chunk drawing from rng itself,
+    round 1 and then round 2 (delta = inf). An SRSTL model has no Round-2
+    head: it runs round 1 alone (delta = 0), and its second accuracy is None.
     """
+    from .protocol import _round_probs  # protocol imports this module
+
     two_rounds = isinstance(model, MrmtlModel)
-    c1 = c2 = 0
-    for imgs, labels in batches(split, EVAL_BATCH):
-        b = imgs.shape[0]
-        draw1 = draw_channel(cfg, b, model.nc1, rng)
-        draw2 = draw_channel(cfg, b, model.nc2, rng) if two_rounds else None
-        probs1, probs2, _ = _forward(model, imgs, draw1, draw2)
-        c1 += int(np.sum(probs1.argmax(axis=1) == labels))
-        if two_rounds:
-            c2 += int(np.sum(probs2.argmax(axis=1) == labels))
-    n = len(split)
-    return c1 / n, (c2 / n if two_rounds else None)
+    probs1, probs2 = _round_probs(model, split, cfg, functools.partial(itertools.repeat, rng),
+                                  np.inf if two_rounds else 0.0)
+    acc1, acc2 = (int(np.count_nonzero(p.argmax(axis=1) == split.labels)) / len(split)
+                  for p in (probs1, probs2))
+    return acc1, (acc2 if two_rounds else None)
 
 
 def _assemble(mode: str, nets: dict, arch: ArchitectureConfig,
@@ -450,17 +451,20 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
     if mode not in PARTS:
         raise BundleError(f"unknown bundle mode {mode!r}")
     nets = {name: load_part(name) for name in PARTS[mode]}
-    # (part, "input"/"output", width the manifest implies, its source)
+    # (part, "input"/"hidden"/"output", width the manifest implies, its source)
     expected = [("encoder1", "output", arch.nc1, "nc1"),
                 ("decoder1", "input", arch.nc1, "nc1"),
+                ("decoder1", "hidden", arch.decoder_hidden, "decoder_hidden"),
                 ("decoder1", "output", arch.num_classes, "num_classes")]
     if mode == "mrmtl":
         expected += [("encoder2", "output", arch.nc2, "nc2"),
                      ("decoder2", "input", arch.nc1 + arch.nc2, "nc1+nc2"),
+                     ("decoder2", "hidden", arch.decoder_hidden, "decoder_hidden"),
                      ("decoder2", "output", arch.num_classes, "num_classes")]
     for name, side, want, source in expected:
         net = nets[name]
-        got = (net.input_shape if side == "input" else net.output_shape)[0]
+        got = {"input": net.input_shape[0], "output": net.output_shape[0],
+               "hidden": getattr(net.layers[-1], "in_size", None)}[side]
         if got != want:
             raise BundleError(
                 f"{name}.ckpt has {side} width {got}, but {manifest_path} "

@@ -10,10 +10,11 @@ the samples that escalate, so a confident sample costs one round of work.
 Threshold studies instead need both heads on every sample: evaluate_rounds()
 runs both rounds over the whole set and caches the outputs, and
 apply_threshold() and sweep_from_cache() resolve any delta against the cache
-without touching the channel again. All of them, and calibrate_threshold(),
-share one chunk loop and channel-draw layout over batch-invariant inference,
-so a run_protocol trace equals apply_threshold(evaluate_rounds(...), delta)
-under the same entry rng state, and each sweep row equals a run_protocol call.
+without touching the channel again. All of them, calibrate_threshold() and
+training's test pass (models.mrmtl_head_accuracies) share one chunk loop and
+channel-draw layout over batch-invariant inference, so a run_protocol trace
+equals apply_threshold(evaluate_rounds(...), delta) under the same entry rng
+state, and each sweep row equals a run_protocol call.
 
 An inference encoder reads no rng and no channel, so Round 1's symbols depend
 only on the images and Encoder 1's parameters. calibrate_threshold() keeps
@@ -35,12 +36,8 @@ import numpy as np
 
 from .channel import ChannelConfig, ChannelDraw, apply_channel, draw_channel
 from .dataset import Split
-from .models import DecoderOutput, MrmtlModel, _decode1, _decode2, _symbols, _transmit_batch
-
-# Samples are processed in fixed-size chunks, one spawned rng child per
-# chunk, so channel draws depend only on the entry rng state and the sample
-# order.
-CHUNK = 64
+from .models import (CHUNK, DecoderOutput, MrmtlModel, _decode1, _decode2, _symbols,
+                     _transmit_batch)
 
 # The most thresholds delta_grid() builds: step 1e-4 over [0, 1].
 MAX_GRID_POINTS = 10_001
@@ -138,7 +135,7 @@ def _round1_symbols(encoder, images: np.ndarray, bounds, keep: bool) -> np.ndarr
     return symbols
 
 
-def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
+def _round_probs(model, split: Split, channel_cfg: ChannelConfig, chunk_rngs,
                  delta: float, keep: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Decoder-head probabilities for every sample, one CHUNK at a time.
 
@@ -148,12 +145,12 @@ def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
     of the Round-2 array that did not run hold NaN.
 
     Round 1's symbols come from _round1_symbols, which keeps them in
-    _SYMBOLS when keep is set. Each chunk draws its Round-1 channel, then
-    (if any of its samples escalates) its Round-2 channel for the whole
-    chunk, from its own rng child; nothing else reads that child, so every
-    draw a sample sees is the one a full pass gives it, whichever samples
-    escalate; inference is batch invariant (mrmtl.nn.layers), so its
-    probabilities are too.
+    _SYMBOLS when keep is set. The caller supplies the chunks' rngs, one per
+    chunk from chunk_rngs(n). Each chunk draws its Round-1 channel, then (if
+    any sample escalates) its Round-2 channel for the whole chunk, from its rng;
+    under rng.spawn nothing else reads that rng, so every draw a sample sees
+    is the one a full pass gives it, whichever samples escalate; inference
+    is batch invariant (mrmtl.nn.layers), so its probabilities are too.
     """
     n = len(split)
     if n == 0:
@@ -163,7 +160,7 @@ def _round_probs(model, split: Split, channel_cfg: ChannelConfig, rng,
     k = model.decoder1.output_shape[0]
     probs1 = np.empty((n, k))
     probs2 = np.full((n, k), np.nan)
-    for (lo, hi), crng in zip(bounds, rng.spawn(len(bounds))):
+    for (lo, hi), crng in zip(bounds, chunk_rngs(len(bounds))):
         draw1 = draw_channel(channel_cfg, hi - lo, model.nc1, crng)
         r1 = apply_channel(symbols[lo:hi], draw1)
         probs1[lo:hi] = _decode1(model, r1)
@@ -194,7 +191,7 @@ def _cache(model: MrmtlModel, split: Split, probs1: np.ndarray,
 def evaluate_rounds(model: MrmtlModel, split: Split, channel_cfg: ChannelConfig,
                     rng) -> RoundCache:
     """Run both heads over every sample once and cache the outputs."""
-    probs1, probs2 = _round_probs(model, split, channel_cfg, rng, np.inf)
+    probs1, probs2 = _round_probs(model, split, channel_cfg, rng.spawn, np.inf)
     return _cache(model, split, probs1, probs2)
 
 
@@ -236,7 +233,7 @@ def run_protocol(model: MrmtlModel, split: Split, delta: float, channel_cfg: Cha
     traces read Round-2 rows of escalated samples alone, so the rows that
     never ran are not seen.
     """
-    probs1, probs2 = _round_probs(model, split, channel_cfg, rng, delta)
+    probs1, probs2 = _round_probs(model, split, channel_cfg, rng.spawn, delta)
     return apply_threshold(_cache(model, split, probs1, probs2), delta)
 
 
@@ -301,10 +298,8 @@ def accuracy_decomposition(traces) -> dict:
     n = len(traces)
     stay = [t for t in traces if not t.escalated]
     esc = [t for t in traces if t.escalated]
-    acc_stay = (sum(1 for t in stay if t.final_predicted == t.true_label) / len(stay)
-                if stay else 0.0)
-    acc_esc = (sum(1 for t in esc if t.final_predicted == t.true_label) / len(esc)
-               if esc else 0.0)
+    acc_stay = task_accuracy(stay) if stay else 0.0
+    acc_esc = task_accuracy(esc) if esc else 0.0
     return {
         "p_stay": len(stay) / n,
         "p_escalate": len(esc) / n,
@@ -340,7 +335,7 @@ def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
     """
     if not 1 <= num_bins <= MAX_NUM_BINS:
         raise ValueError(f"num_bins must lie in [1, {MAX_NUM_BINS}]")
-    probs, _ = _round_probs(model, split, channel_cfg, rng, 0.0, keep=True)
+    probs, _ = _round_probs(model, split, channel_cfg, rng.spawn, 0.0, keep=True)
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == split.labels
     n = len(split)

@@ -28,16 +28,18 @@ from mrmtl.protocol import (
 )
 from test_protocol import crafted_cache, random_cache
 
+NAMES = [f"class_{i}" for i in range(10)]
+
 
 class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
         labels = np.array([0, 1, 2, 2, 3])
-        m = confusion(labels, labels, 4, None)
+        m = confusion(labels, labels, 4, NAMES[:4])
         assert np.array_equal(m.counts, np.diag([1, 1, 2, 1]))
         assert np.trace(m.counts) / m.counts.sum() == 1.0
 
     def test_single_error_cell(self):
-        m = confusion(np.array([7]), np.array([3]), 10, None)
+        m = confusion(np.array([7]), np.array([3]), 10, NAMES)
         assert m.counts[3, 7] == 1
         assert int(m.counts.sum()) == 1
         assert np.trace(m.counts) / m.counts.sum() == 0.0
@@ -46,7 +48,7 @@ class TestConfusion:
         cache = random_cache(seed=20)
         traces = apply_threshold(cache, 0.4)
         m = confusion([t.final_predicted for t in traces], [t.true_label for t in traces],
-                      10, None)
+                      10, NAMES)
         # the diagonal share is the final-prediction accuracy, bit for bit
         assert np.trace(m.counts) / m.counts.sum() == task_accuracy(traces)
 
@@ -54,18 +56,18 @@ class TestConfusion:
         cache = crafted_cache([0.2], [1], [8], [8])
         traces = apply_threshold(cache, 0.5)
         m = confusion([t.final_predicted for t in traces], [t.true_label for t in traces],
-                      10, None)
+                      10, NAMES)
         assert m.counts[8, 8] == 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            confusion(np.array([10]), np.array([0]), 10, None)
+            confusion(np.array([10]), np.array([0]), 10, NAMES)
         with pytest.raises(ValueError, match="out of range"):
-            confusion(np.array([0]), np.array([-1]), 10, None)
+            confusion(np.array([0]), np.array([-1]), 10, NAMES)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            confusion(np.array([0, 1]), np.array([0]), 10, None)
+            confusion(np.array([0, 1]), np.array([0]), 10, NAMES)
 
     def test_class_names_length_checked(self):
         with pytest.raises(ValueError, match="class_names"):
@@ -113,7 +115,7 @@ class TestCsvRoundTrips:
 
     def test_confusion_roundtrip(self, tmp_path):
         cache = random_cache(seed=23)
-        m = confusion(cache.round1_pred, cache.true_labels, 10, None)
+        m = confusion(cache.round1_pred, cache.true_labels, 10, NAMES)
         path = tmp_path / "confusion.csv"
         write_confusion_csv(m, path)
         back = read_confusion_csv(path)
@@ -136,8 +138,8 @@ class TestCsvRoundTrips:
 class TestReports:
     def _report(self, seed=24):
         cache = random_cache(seed=seed, n=80)
-        return build_report(cache, 0.5, {"run": "unit"},
-                            sweep_grid=[0.0, 0.5, 1.01]), cache
+        return build_report(cache, 0.5, {"run": "unit"}, sweep_grid=[0.0, 0.5, 1.01],
+                            class_names=NAMES), cache
 
     def test_report_sections(self):
         report, cache = self._report()
@@ -189,9 +191,7 @@ class TestReports:
         assert np.array_equal(m1.counts, report.confusion_round1.counts)
 
     def test_empty_sweep_writes_header_only(self, tmp_path):
-        cache = random_cache(seed=27)
-        report = build_report(cache, 0.5, {})
-        emit_report(report, tmp_path)
+        write_sweep_csv([], tmp_path / "sweep.csv")
         assert (tmp_path / "sweep.csv").read_text() == "delta,accuracy,avg_delay,escalation_rate\n"
 
     def test_calibration_to_dict_none(self):
@@ -207,7 +207,8 @@ class TestReports:
             histogram_correct=np.array([2, 3]), histogram_incorrect=np.array([4, 1]),
             bin_edges=np.linspace(0.0, 1.0, 3), n_correct=5, n_incorrect=5,
             separated=True)
-        report = build_report(random_cache(seed=29), 0.5, {}, calibration=stats)
+        report = build_report(random_cache(seed=29), 0.5, {}, sweep_grid=[0.5],
+                              calibration=stats, class_names=NAMES)
         assert report.calibration is stats
         emit_report(report, tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())

@@ -434,6 +434,19 @@ class TestTrainCommand:
         wide = json.loads((out / "srstl_nc6" / "bundle.json").read_text())
         assert wide["architecture"]["nc"] == 6
 
+    def test_srstl_mode_trains_only_the_round_one_baseline(self, tmp_path):
+        cfg = json.loads(json.dumps(RUN_CONFIG))
+        cfg["arch"] = {"nc": 2, "nc1": 4}
+        cfg["training"]["epochs"] = 0
+        cfg["output_dir"] = str(tmp_path / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(path), "--mode", "srstl"]) == 0
+        out = tmp_path / "run"
+        assert [p.name for p in out.iterdir()] == ["srstl_nc4"]
+        manifest = json.loads((out / "srstl_nc4" / "bundle.json").read_text())
+        assert (manifest["mode"], manifest["architecture"]["nc1"]) == ("srstl", 4)
+
     def test_class_count_comes_from_the_dataset(self, tmp_path, capsys):
         # a stale arch.num_classes is ignored like any other unused key
         cfg = json.loads(json.dumps(RUN_CONFIG))
@@ -661,6 +674,17 @@ class TestCorruptBundle:
         err = capsys.readouterr().err
         assert "encoder1.ckpt has output width" in err and "nc1=" in err
 
+    def test_exit_2_on_manifest_contradicting_decoder_hidden(self, trained_run, tmp_path,
+                                                             capsys):
+        def corrupt(bundle):
+            path = bundle / "bundle.json"
+            manifest = json.loads(path.read_text())
+            manifest["architecture"]["decoder_hidden"] = 64
+            path.write_text(json.dumps(manifest))
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        err = capsys.readouterr().err
+        assert "decoder1.ckpt has hidden width 2" in err and "decoder_hidden=64" in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda tensors: tensors[:-1], "omits tensors"),

@@ -1,5 +1,8 @@
 """Model assembly, joint loss, the two-round forward, training loops, bundles."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from conftest import SMALL_SHAPE, random_split, small_mrmtl, small_srstl
 from mrmtl import models, nn
 from mrmtl.channel import ChannelConfig, draw_channel, power_norm_forward
 from mrmtl.dataset import batches, make_synthetic
-from mrmtl.protocol import evaluate_rounds, run_protocol
+from mrmtl.protocol import _round_probs, evaluate_rounds, run_protocol
 from mrmtl.models import (
     _forward,
     ArchitectureConfig,
@@ -363,6 +366,49 @@ class TestTraining:
                         TrainConfig(epochs=1, batch_size=16))
 
 
+def _ref_head_probs(model, split, channel_cfg, rng):
+    """The per-epoch test pass as it was before it ran through the receiver's
+    chunk loop: unshuffled 64-sample batches, each drawing round 1 and then
+    (MRMTL only) round 2 from rng; returns both heads' probabilities."""
+    two_rounds = isinstance(model, MrmtlModel)
+    out1, out2 = [], []
+    for lo in range(0, len(split), 64):
+        imgs = split.images[lo:lo + 64]
+        draw1 = draw_channel(channel_cfg, imgs.shape[0], model.nc1, rng)
+        draw2 = draw_channel(channel_cfg, imgs.shape[0], model.nc2, rng) if two_rounds else None
+        probs1, probs2, _ = _forward(model, imgs, draw1, draw2)
+        out1.append(probs1)
+        out2.append(probs2)
+    return np.concatenate(out1), (np.concatenate(out2) if two_rounds else None)
+
+
+def _ref_head_accuracies(model, split, channel_cfg, rng):
+    hits = [None if p is None else int(np.sum(p.argmax(axis=1) == split.labels)) / len(split)
+            for p in _ref_head_probs(model, split, channel_cfg, rng)]
+    return hits[0], hits[1]
+
+
+@pytest.mark.parametrize("channel_kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("mode", ["srstl", "mrmtl"])
+def test_head_accuracies_match_their_batches_loop(mode, channel_kind):
+    """The receiver's chunk loop, every chunk drawing from one rng, decodes
+    the test pass bit for bit as its own batches loop did, over several
+    chunks with a short last one, and leaves the rng in the same state."""
+    model = small_mrmtl() if mode == "mrmtl" else small_srstl()
+    split = random_split(150)
+    channel = ChannelConfig(kind=channel_kind, snr_db=10.0, seed=0)
+    rngs = [np.random.default_rng(5) for _ in range(4)]
+    ref1, ref2 = _ref_head_probs(model, split, channel, rngs[0])
+    probs1, probs2 = _round_probs(model, split, channel,
+                                  functools.partial(itertools.repeat, rngs[1]),
+                                  np.inf if mode == "mrmtl" else 0.0)
+    assert probs1.tobytes() == ref1.tobytes()
+    assert mode == "srstl" or probs2.tobytes() == ref2.tobytes()
+    assert (models.mrmtl_head_accuracies(model, split, channel, rngs[2])
+            == _ref_head_accuracies(model, split, channel, rngs[3]))
+    assert len({str(r.bit_generator.state) for r in rngs}) == 1
+
+
 def _ref_train_srstl(dataset, arch, channel_cfg, cfg):
     """The single-round training loop as it was before both kinds shared one,
     with its loss-and-gradient step inlined."""
@@ -393,8 +439,7 @@ def _ref_train_srstl(dataset, arch, channel_cfg, cfg):
             "epoch": epoch,
             "train_loss": total_loss / len(dataset.train),
             "train_accuracy": correct / len(dataset.train),
-            "test_accuracy": models.mrmtl_head_accuracies(model, dataset.test,
-                                                          channel_cfg, rng)[0],
+            "test_accuracy": _ref_head_accuracies(model, dataset.test, channel_cfg, rng)[0],
         })
     return model, log
 
@@ -440,7 +485,7 @@ def _ref_train_mrmtl(dataset, arch, channel_cfg, cfg):
             correct1 += int(np.sum(probs1.argmax(axis=1) == labels))
             correct2 += int(np.sum(probs2.argmax(axis=1) == labels))
         n = len(dataset.train)
-        test1, test2 = models.mrmtl_head_accuracies(model, dataset.test, channel_cfg, rng)
+        test1, test2 = _ref_head_accuracies(model, dataset.test, channel_cfg, rng)
         log.append({
             "epoch": epoch,
             "train_loss": tot[0] / n,
