@@ -20,14 +20,10 @@ from mrmtl.channel import ChannelConfig
 from mrmtl.dataset import make_synthetic
 from mrmtl.models import ArchitectureConfig, TrainConfig, load_bundle, train_mrmtl
 from mrmtl.protocol import (
-    accuracy_decomposition,
     apply_threshold,
-    average_delay,
     calibrate_threshold,
-    delay_decomposition,
-    escalation_rate,
     evaluate_rounds,
-    task_accuracy,
+    operating_point,
 )
 
 BUNDLE = Path(__file__).parent / "output" / "mrmtl"
@@ -57,23 +53,23 @@ print(f"calibrated threshold: {stats.delta_star:.4f}")
 # --- run the protocol ----------------------------------------------------
 cache = evaluate_rounds(model, dataset.test, channel_cfg,
                         np.random.default_rng(12))
-traces = apply_threshold(cache, stats.delta_star)
-print(f"\nprotocol over {len(traces)} test samples "
+point = operating_point(cache, stats.delta_star)
+print(f"\nprotocol over {len(cache)} test samples "
       f"(nc1={cache.nc1}, nc2={cache.nc2}):")
-print(f"  accuracy:        {task_accuracy(traces):.4f}")
-print(f"  average delay:   {average_delay(traces):.4f} symbols")
-print(f"  escalation rate: {escalation_rate(traces):.4f}")
+print(f"  accuracy:        {point['accuracy']:.4f}")
+print(f"  average delay:   {point['avg_delay']:.4f} symbols")
+print(f"  escalation rate: {point['escalation_rate']:.4f}")
 
 print("\nfirst five decisions:")
-for t in traces[:5]:
+for t in apply_threshold(cache, stats.delta_star)[:5]:
     route = "escalated" if t.escalated else "stayed   "
     mark = "right" if t.final_predicted == t.true_label else "wrong"
     print(f"  sample {t.sample_index}: round-1 conf {t.round1.confidence:.3f} "
           f"-> {route} final {t.final_predicted} ({mark}, {t.delay} symbols)")
 
 # --- where delay and accuracy come from ---------------------------------
-d = delay_decomposition(traces, cache.nc1, cache.nc2)
-a = accuracy_decomposition(traces)
+d = point["delay_decomposition"]
+a = point["accuracy_decomposition"]
 print(f"\ndelay   = {d['p_stay']:.3f} * {d['delay_stay']} "
       f"+ {d['p_escalate']:.3f} * {d['delay_escalate']} "
       f"= {d['expected_delay']:.4f}")
@@ -84,9 +80,9 @@ print(f"accuracy = {a['p_stay']:.3f} * {a['accuracy_given_stay']:.4f} "
 # --- the two endpoints ---------------------------------------------------
 # Threshold 0 never escalates (pure round 1); anything above 1 always
 # does (pure round 2). The protocol interpolates between those systems.
-lo = apply_threshold(cache, 0.0)
-hi = apply_threshold(cache, 1.01)
-print(f"\nthreshold 0.00: accuracy {task_accuracy(lo):.4f}, "
-      f"delay {average_delay(lo):.1f}")
-print(f"threshold 1.01: accuracy {task_accuracy(hi):.4f}, "
-      f"delay {average_delay(hi):.1f}")
+lo = operating_point(cache, 0.0)
+hi = operating_point(cache, 1.01)
+print(f"\nthreshold 0.00: accuracy {lo['accuracy']:.4f}, "
+      f"delay {lo['avg_delay']:.1f}")
+print(f"threshold 1.01: accuracy {hi['accuracy']:.4f}, "
+      f"delay {hi['avg_delay']:.1f}")

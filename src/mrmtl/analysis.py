@@ -20,13 +20,9 @@ from .protocol import (
     CalibrationStats,
     ProtocolTrace,
     RoundCache,
-    accuracy_decomposition,
     apply_threshold,
-    average_delay,
-    delay_decomposition,
-    escalation_rate,
+    operating_point,
     sweep_from_cache,
-    task_accuracy,
 )
 
 REPORT_VERSION = 1
@@ -90,15 +86,7 @@ def build_report(cache: RoundCache, delta: float, config: dict, *, sweep_grid,
     num_classes = cache.round1_probs.shape[1]
     r1_acc = int(np.count_nonzero(cache.round1_pred == cache.true_labels)) / n
     r2_acc = int(np.count_nonzero(cache.round2_pred == cache.true_labels)) / n
-    protocol_section = {
-        "delta": delta,
-        "num_samples": n,
-        "accuracy": task_accuracy(traces),
-        "avg_delay": average_delay(traces),
-        "escalation_rate": escalation_rate(traces),
-        "delay_decomposition": delay_decomposition(traces, cache.nc1, cache.nc2),
-        "accuracy_decomposition": accuracy_decomposition(traces),
-    }
+    protocol_section = {"delta": delta, "num_samples": n, **operating_point(cache, delta)}
     mrmtl_section = {
         "nc1": cache.nc1,
         "nc2": cache.nc2,

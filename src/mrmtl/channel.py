@@ -8,7 +8,7 @@ transmission, with E[h^2] = 1. Noise is Gaussian with variance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,11 +26,15 @@ class ChannelConfig:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
-        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
-            raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db}")
+        try:  # NaN, -inf and below about -3082.5 dB give no finite noise variance
+            finite = np.isfinite(noise_variance(self.snr_db))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"snr_db must not be NaN or below about -3082.5 dB: {self.snr_db}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "snr_db": self.snr_db, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,14 +72,13 @@ class ArchitectureConfig:
             raise ValueError("decoder_hidden must be >= 1")
 
     def to_dict(self) -> dict:
-        return {"nc": self.nc, "nc1": self.nc1, "nc2": self.nc2,
-                "num_classes": self.num_classes, "decoder_hidden": self.decoder_hidden}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
-    batch_size: int = 64
+    batch_size: int = 32
     lr: float = 1e-3
     loss_weight: float = 0.5
     seed: int = 0
@@ -95,8 +94,7 @@ class TrainConfig:
             raise ValueError("loss_weight must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "batch_size": self.batch_size, "lr": self.lr,
-                "loss_weight": self.loss_weight, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

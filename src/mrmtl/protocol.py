@@ -9,12 +9,16 @@ run_protocol() is the deployed receiver: Encoder 2 and Decoder 2 run only on
 the samples that escalate, so a confident sample costs one round of work.
 Threshold studies instead need both heads on every sample: evaluate_rounds()
 runs both rounds over the whole set and caches the outputs, and
-apply_threshold() and sweep_from_cache() resolve any delta against the cache
-without touching the channel again. All of them, calibrate_threshold() and
-training's test pass (models.mrmtl_head_accuracies) share one chunk loop and
-channel-draw layout over batch-invariant inference, so a run_protocol trace
-equals apply_threshold(evaluate_rounds(...), delta) under the same entry rng
-state, and each sweep row equals a run_protocol call.
+apply_threshold(), operating_point() and sweep_from_cache() resolve any delta
+against the cache without touching the channel again. run_protocol(),
+evaluate_rounds(), calibrate_threshold() and training's test pass
+(models.mrmtl_head_accuracies) share one chunk loop and channel-draw layout
+over batch-invariant inference, so a run_protocol trace equals
+apply_threshold(evaluate_rounds(...), delta) under the same entry rng state,
+and each sweep row equals a run_protocol call.
+
+The report's numbers are operating_point()'s counts over the cache; the trace
+statistics re-derive them from a trace list, as `mrmtl report` does.
 
 An inference encoder reads no rng and no channel, so Round 1's symbols depend
 only on the images and Encoder 1's parameters. calibrate_threshold() keeps
@@ -265,50 +269,6 @@ def escalation_rate(traces) -> float:
     return sum(1 for t in traces if t.escalated) / len(traces)
 
 
-def delay_decomposition(traces, nc1: int, nc2: int) -> dict:
-    """Average delay written as the two-branch expectation: the stay
-    probability times nc1 plus the escalation probability times nc1 + nc2."""
-    traces = _require_traces(traces)
-    n = len(traces)
-    stay = sum(1 for t in traces if not t.escalated)
-    esc = n - stay
-    for t in traces:
-        want = nc1 + nc2 if t.escalated else nc1
-        if t.delay != want:
-            raise ValueError(
-                f"trace {t.sample_index} has delay {t.delay}, expected {want} "
-                f"for nc1={nc1}, nc2={nc2}"
-            )
-    return {
-        "p_stay": stay / n,
-        "p_escalate": esc / n,
-        "delay_stay": nc1,
-        "delay_escalate": nc1 + nc2,
-        "expected_delay": nc1 * (stay / n) + (nc1 + nc2) * (esc / n),
-    }
-
-
-def accuracy_decomposition(traces) -> dict:
-    """Task accuracy written by total probability over the two branches.
-
-    Conditional accuracy of an empty branch is reported as 0.0; its weight
-    is 0 so the expectation is unaffected.
-    """
-    traces = _require_traces(traces)
-    n = len(traces)
-    stay = [t for t in traces if not t.escalated]
-    esc = [t for t in traces if t.escalated]
-    acc_stay = task_accuracy(stay) if stay else 0.0
-    acc_esc = task_accuracy(esc) if esc else 0.0
-    return {
-        "p_stay": len(stay) / n,
-        "p_escalate": len(esc) / n,
-        "accuracy_given_stay": acc_stay,
-        "accuracy_given_escalate": acc_esc,
-        "expected_accuracy": acc_stay * (len(stay) / n) + acc_esc * (len(esc) / n),
-    }
-
-
 # ---------------------------------------------------------------------------
 # threshold selection
 
@@ -364,36 +324,57 @@ def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
 
 
 # ---------------------------------------------------------------------------
-# threshold sweeps
+# operating points and threshold sweeps
+
+
+def operating_point(cache: RoundCache, delta: float) -> dict:
+    """Accuracy, average delay and escalation rate at one threshold, and the
+    first two as two-branch expectations over staying in Round 1 or escalating.
+    Integer counts over the predictions apply_threshold() selects, so each total
+    equals its trace statistic bit for bit; an empty branch's accuracy is 0.0."""
+    n = len(cache)
+    if n == 0:
+        raise ValueError("empty cache")
+    escalated = cache.round1_conf < delta
+    esc = int(np.count_nonzero(escalated))
+    stay = n - esc
+    correct_esc = int(np.count_nonzero(escalated & (cache.round2_pred == cache.true_labels)))
+    correct_stay = int(np.count_nonzero(~escalated & (cache.round1_pred == cache.true_labels)))
+    acc_stay = correct_stay / stay if stay else 0.0
+    acc_esc = correct_esc / esc if esc else 0.0
+    nc1, nc2 = cache.nc1, cache.nc2
+    branches = {"p_stay": stay / n, "p_escalate": esc / n}
+    return {
+        "accuracy": (correct_stay + correct_esc) / n,
+        "avg_delay": (n * nc1 + esc * nc2) / n,
+        "escalation_rate": esc / n,
+        "delay_decomposition": {
+            **branches,
+            "delay_stay": nc1,
+            "delay_escalate": nc1 + nc2,
+            "expected_delay": nc1 * (stay / n) + (nc1 + nc2) * (esc / n),
+        },
+        "accuracy_decomposition": {
+            **branches,
+            "accuracy_given_stay": acc_stay,
+            "accuracy_given_escalate": acc_esc,
+            "expected_accuracy": acc_stay * (stay / n) + acc_esc * (esc / n),
+        },
+    }
 
 
 def sweep_from_cache(cache: RoundCache, delta_grid) -> list[dict]:
-    """Evaluate every grid delta against one set of cached outputs.
-
-    Accuracy and delay are computed from integer counts over the same
-    cached predictions apply_threshold() would select, so each row matches
-    a dedicated run_protocol call on the same draws bit for bit.
-    """
+    """Evaluate every grid delta against one set of cached outputs: each row
+    is operating_point()'s accuracy, delay and escalation rate, so it matches a
+    dedicated run_protocol call on the same draws bit for bit."""
     grid = [float(d) for d in delta_grid]
     if not grid:
         raise ValueError("empty delta grid")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta grid must be sorted ascending")
-    n = len(cache)
-    r1_correct = cache.round1_pred == cache.true_labels
-    r2_correct = cache.round2_pred == cache.true_labels
-    rows = []
-    for delta in grid:
-        esc = cache.round1_conf < delta
-        k = int(np.count_nonzero(esc))
-        n_correct = int(np.count_nonzero(np.where(esc, r2_correct, r1_correct)))
-        rows.append({
-            "delta": delta,
-            "accuracy": n_correct / n,
-            "avg_delay": (n * cache.nc1 + k * cache.nc2) / n,
-            "escalation_rate": k / n,
-        })
-    return rows
+    points = [operating_point(cache, delta) for delta in grid]
+    return [{"delta": delta, "accuracy": p["accuracy"], "avg_delay": p["avg_delay"],
+             "escalation_rate": p["escalation_rate"]} for delta, p in zip(grid, points)]
 
 
 def delta_grid(start: float, stop: float, step: float) -> list[float]:

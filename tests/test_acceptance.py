@@ -34,14 +34,13 @@ from mrmtl.models import (
     train_srstl,
 )
 from mrmtl.protocol import (
-    accuracy_decomposition,
     apply_threshold,
     average_delay,
     calibrate_threshold,
     default_delta_grid,
-    delay_decomposition,
     escalation_rate,
     evaluate_rounds,
+    operating_point,
     sweep_from_cache,
     task_accuracy,
     threshold_midpoint,
@@ -78,13 +77,20 @@ def head_cache(mrmtl_small, split_small):
 
 def test_criterion_1_decomposition_identities(verdict, head_cache,
                                               mrmtl_small, split_small):
+    # the totals counted from the cache equal the trace statistics exactly,
+    # and the two-branch expectations reproduce them to rounding
     worst = 0.0
+    exact = True
     caches = [random_cache(n=230, seed=s) for s in range(5)] + [head_cache]
     for cache in caches:
         for delta in (0.0, 0.15, 0.3, 0.5, 0.7, 0.9, 1.0, 1.01):
             traces = apply_threshold(cache, delta)
-            d = delay_decomposition(traces, cache.nc1, cache.nc2)
-            a = accuracy_decomposition(traces)
+            point = operating_point(cache, delta)
+            exact = exact and (point["accuracy"] == task_accuracy(traces)
+                               and point["avg_delay"] == average_delay(traces)
+                               and point["escalation_rate"] == escalation_rate(traces))
+            d = point["delay_decomposition"]
+            a = point["accuracy_decomposition"]
             worst = max(
                 worst,
                 abs(d["expected_delay"] - average_delay(traces)),
@@ -100,9 +106,9 @@ def test_criterion_1_decomposition_identities(verdict, head_cache,
                                 np.random.default_rng(3))
     midpoint_exact = stats.delta_star == threshold_midpoint(
         stats.mean_conf_correct, stats.mean_conf_incorrect)
-    verdict(1, "two-branch delay and accuracy identities hold, "
-               "calibrated threshold is the exact midpoint",
-            worst < 1e-12 and midpoint_exact,
+    verdict(1, "cache counts equal the trace statistics, two-branch delay and "
+               "accuracy identities hold, calibrated threshold is the exact midpoint",
+            worst < 1e-12 and exact and midpoint_exact,
             f"worst abs err {worst:.2e} over {8 * len(caches)} runs")
 
 

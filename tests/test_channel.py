@@ -94,6 +94,17 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="NaN"):
             channel.ChannelConfig(snr_db=float("nan"))
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, -3082.6, float("-inf")])
+    def test_snr_whose_noise_variance_overflows_rejected(self, snr_db):
+        # 10 ** 400 overflows a float; such a config used to fail at the
+        # first channel draw
+        with pytest.raises(ValueError, match="snr_db"):
+            channel.ChannelConfig(snr_db=snr_db)
+
+    def test_lowest_snr_with_finite_noise_accepted(self):
+        cfg = channel.ChannelConfig(snr_db=-3082.5)
+        assert np.isfinite(channel.noise_variance(cfg.snr_db))
+
     def test_dict_roundtrip(self):
         cfg = channel.ChannelConfig(kind="rayleigh", snr_db=4.0, seed=9)
         assert channel.ChannelConfig(**cfg.to_dict()) == cfg

@@ -174,6 +174,19 @@ class TestConfigValidation:
                 == comparable(validate_config(json.loads(json.dumps(DEFAULT_CONFIG)))))
         assert DEFAULT_CONFIG == before
 
+    @pytest.mark.parametrize("cls, section", [(TrainConfig, "training"),
+                                              (ChannelConfig, "channel"),
+                                              (ArchitectureConfig, "arch")])
+    def test_library_defaults_equal_default_config(self, cls, section):
+        # the defaults are defined in one place; a library caller who leaves
+        # a field out gets what the CLI would use (the class count is the
+        # dataset's)
+        for field in dataclasses.fields(cls):
+            if field.default is dataclasses.MISSING:
+                continue
+            owner = "dataset" if field.name == "num_classes" else section
+            assert field.default == DEFAULT_CONFIG[owner][field.name], field.name
+
     def test_bad_calibration_split(self):
         cfg = load_run_config(ns())
         cfg["protocol"]["calibration_split"] = "validation"
@@ -274,6 +287,7 @@ class TestTrainCommand:
         pytest.param({"training": {"lr": -1e-3}}, id="negative-lr"),
         pytest.param({"arch": {"decoder_hidden": 0}}, id="zero-decoder-hidden"),
         pytest.param({"channel": {"snr_db": float("-inf")}}, id="minus-inf-snr"),
+        pytest.param({"channel": {"snr_db": -4000.0}}, id="noise-variance-overflows"),
         pytest.param({"protocol": {"grid": {"start": 0, "stop": float("inf"), "step": 0.1}}},
                      id="infinite-grid-stop"),
         # integer fields reject a non-integral value instead of truncating it

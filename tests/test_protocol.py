@@ -23,15 +23,14 @@ from mrmtl.models import (
 from mrmtl.protocol import (
     CalibrationError,
     RoundCache,
-    accuracy_decomposition,
     apply_threshold,
     average_delay,
     calibrate_threshold,
     default_delta_grid,
     delta_grid,
-    delay_decomposition,
     escalation_rate,
     evaluate_rounds,
+    operating_point,
     run_protocol,
     sweep_from_cache,
     task_accuracy,
@@ -136,10 +135,15 @@ class TestThresholdRule:
 class TestSummaryStatistics:
     def test_decompositions_recover_totals(self):
         cache = random_cache(seed=4)
-        for delta in (0.0, 0.15, 0.3, 0.6, 1.01):
+        # the last two thresholds equal a sample's confidence, which stays
+        for delta in (0.0, 0.15, 0.3, 0.6, 1.01, cache.round1_conf[0], cache.round1_conf[1]):
             traces = apply_threshold(cache, delta)
-            dd = delay_decomposition(traces, cache.nc1, cache.nc2)
-            ad = accuracy_decomposition(traces)
+            point = operating_point(cache, delta)
+            assert point["accuracy"] == task_accuracy(traces)
+            assert point["avg_delay"] == average_delay(traces)
+            assert point["escalation_rate"] == escalation_rate(traces)
+            dd = point["delay_decomposition"]
+            ad = point["accuracy_decomposition"]
             assert abs(dd["expected_delay"] - average_delay(traces)) < 1e-12
             assert abs(ad["expected_accuracy"] - task_accuracy(traces)) < 1e-12
             assert abs(dd["p_stay"] + dd["p_escalate"] - 1.0) < 1e-15
@@ -147,22 +151,16 @@ class TestSummaryStatistics:
 
     def test_empty_branch_reports_zero_conditional(self):
         cache = random_cache(seed=5)
-        ad = accuracy_decomposition(apply_threshold(cache, 0.0))
+        ad = operating_point(cache, 0.0)["accuracy_decomposition"]
         assert ad["p_escalate"] == 0.0
         assert ad["accuracy_given_escalate"] == 0.0
 
-    def test_delay_consistency_guard(self):
-        cache = random_cache(seed=6)
-        traces = apply_threshold(cache, 0.3)
-        with pytest.raises(ValueError, match="delay"):
-            delay_decomposition(traces, cache.nc1 + 1, cache.nc2)
-
     def test_empty_traces_rejected(self):
-        for fn in (average_delay, task_accuracy, escalation_rate, accuracy_decomposition):
+        for fn in (average_delay, task_accuracy, escalation_rate):
             with pytest.raises(ValueError):
                 fn([])
-        with pytest.raises(ValueError):
-            delay_decomposition([], 5, 5)
+        with pytest.raises(ValueError, match="empty"):
+            operating_point(random_cache(n=0), 0.5)
 
 
 class TestMidpoint:
