@@ -64,6 +64,9 @@ class ArchitectureConfig:
         for name in ("nc1", "nc2", "decoder_hidden"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, self.nc)
+        for name, value in asdict(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nc < 1 or self.nc1 < 1 or self.nc2 < 1:
             raise ValueError("channel-use budgets must be >= 1")
         if self.num_classes < 2:
@@ -446,8 +449,8 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
         net, _ = nn.load_checkpoint(path)
         return net
 
-    if mode not in PARTS:
-        raise BundleError(f"unknown bundle mode {mode!r}")
+    if not isinstance(mode, str) or mode not in PARTS:
+        raise BundleError(f"{manifest_path}: unknown bundle mode {mode!r}")
     nets = {name: load_part(name) for name in PARTS[mode]}
     # (part, "input"/"hidden"/"output", width the manifest implies, its source)
     expected = [("encoder1", "output", arch.nc1, "nc1"),

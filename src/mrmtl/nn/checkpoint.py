@@ -76,6 +76,9 @@ def load_checkpoint(path) -> tuple[Network, dict]:
             net = Network([layer_from_config(c) for c in arch["layers"]],
                           tuple(arch["input_shape"]))
             entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
+            for name, _ in entries:
+                if not isinstance(name, str):
+                    raise ValueError(f"tensor name must be a string, got {name!r}")
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path.name}: malformed checkpoint header: {e}") from None
         params = dict(net.param_items())
@@ -89,7 +92,7 @@ def load_checkpoint(path) -> tuple[Network, dict]:
             buf = f.read(target.size * 8)
             if len(buf) != target.size * 8:
                 raise CheckpointError(f"{path.name}: truncated tensor {name}")
-            target[...] = np.frombuffer(buf, dtype="<f8").reshape(shape)
+            target[...] = np.frombuffer(buf, dtype="<f8").reshape(target.shape)
         if params:
             raise CheckpointError(f"{path.name}: header omits tensors {sorted(params)}")
         if f.read(1):

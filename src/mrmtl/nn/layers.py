@@ -24,6 +24,11 @@ the owning network's next inference forward, which drops every layer's cache
 before it starts; backward reads it without consuming it, so it can be
 repeated.
 
+A layer's config is its kind and the constructor arguments but rng, which
+each class names once, in config_keys: Layer.config() writes them, and
+layer_from_config() rejects a dict that lacks or adds one rather than build
+another network from constructor defaults.
+
 Inference is batch invariant: a sample's output bits do not depend on what
 else is in its batch. Conv2D runs a GEMM per image, and Dense pads its rows
 with copies of the last to a multiple of 4, which OpenBLAS rounds alike,
@@ -51,17 +56,22 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _init_scale(fan_in: int, activation: str) -> float:
-    # He-style bound for ReLU layers, Glorot-style otherwise.
-    if activation == "relu":
-        return float(np.sqrt(6.0 / fan_in))
-    return float(np.sqrt(3.0 / fan_in))
+def _init_params(activation: str, fan_in: int, w_shape: tuple, bias_size: int, rng) -> dict:
+    """Uniform weights, He-style bound for ReLU and Glorot-style for linear,
+    drawn before the zero bias, so a seeded rng builds the same network."""
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unsupported activation: {activation}")
+    bound = float(np.sqrt((6.0 if activation == "relu" else 3.0) / fan_in))
+    rng = rng if rng is not None else np.random.default_rng()
+    return {"w": rng.uniform(-bound, bound, size=w_shape), "b": np.zeros(bias_size)}
 
 
 class Layer:
     """Base layer. Subclasses fill params/grads with matching keys."""
 
     kind = "layer"
+    # constructor arguments but rng: all that config() writes, layer_from_config() reads
+    config_keys: tuple[str, ...] = ()
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -78,7 +88,7 @@ class Layer:
         raise NotImplementedError
 
     def config(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{k: getattr(self, k) for k in self.config_keys}}
 
     def _require_cache(self):
         if self._cache is None:
@@ -164,6 +174,7 @@ class Conv2D(Layer):
     """Same-padded stride-1 convolution with optional ReLU."""
 
     kind = "conv2d"
+    config_keys = ("in_channels", "filters", "kernel_size", "activation")
     # When False, backward stops after the parameter gradients and returns
     # None: an encoder's first layer sees the images, whose gradient nothing
     # reads.
@@ -176,19 +187,12 @@ class Conv2D(Layer):
             raise ValueError("filters and kernel_size must be positive")
         if kernel_size % 2 == 0:
             raise ValueError("same padding requires an odd kernel size")
-        if activation not in ("relu", "linear"):
-            raise ValueError(f"unsupported conv activation: {activation}")
+        self.params = _init_params(activation, in_channels * kernel_size * kernel_size,
+                                   (filters, in_channels, kernel_size, kernel_size), filters, rng)
         self.in_channels = in_channels
         self.filters = filters
         self.kernel_size = kernel_size
         self.activation = activation
-        fan_in = in_channels * kernel_size * kernel_size
-        rng = rng if rng is not None else np.random.default_rng()
-        bound = _init_scale(fan_in, activation)
-        self.params = {
-            "w": rng.uniform(-bound, bound, size=(filters, in_channels, kernel_size, kernel_size)),
-            "b": np.zeros(filters),
-        }
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_channels:
@@ -253,21 +257,17 @@ class Conv2D(Layer):
             return dxp[:, :, p:-p, p:-p]
         return dxp
 
-    def config(self):
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "filters": self.filters, "kernel_size": self.kernel_size,
-                "activation": self.activation}
-
 
 class MaxPool2D(Layer):
     """Non-overlapping max pooling, spatial dims must divide evenly."""
 
     kind = "maxpool2d"
+    config_keys = ("pool_size",)
 
     def __init__(self, pool_size: int = 2):
         super().__init__()
-        if pool_size < 1:
-            raise ValueError("pool_size must be positive")
+        if not isinstance(pool_size, (int, np.integer)) or pool_size < 1:
+            raise ValueError(f"pool_size must be a positive integer, got {pool_size!r}")
         self.pool_size = pool_size
 
     def out_shape(self, in_shape):
@@ -315,14 +315,12 @@ class MaxPool2D(Layer):
         dx = np.where(mask, dout[:, :, :, None, :, None], 0.0)
         return dx.reshape(B, C, Ho * p, Wo * p)
 
-    def config(self):
-        return {"kind": self.kind, "pool_size": self.pool_size}
-
 
 class Dropout(Layer):
     """Inverted dropout: active only in training, identity at inference."""
 
     kind = "dropout"
+    config_keys = ("rate",)
 
     def __init__(self, rate: float):
         super().__init__()
@@ -347,9 +345,6 @@ class Dropout(Layer):
         self._require_cache()
         return dout * self._cache
 
-    def config(self):
-        return {"kind": self.kind, "rate": self.rate}
-
 
 class Flatten(Layer):
     kind = "flatten"
@@ -366,30 +361,21 @@ class Flatten(Layer):
         self._require_cache()
         return dout.reshape(self._cache)
 
-    def config(self):
-        return {"kind": self.kind}
-
 
 class Dense(Layer):
     """Fully connected layer with relu or linear activation."""
 
     kind = "dense"
+    config_keys = ("in_size", "out_size", "activation")
 
     def __init__(self, in_size: int, out_size: int, activation: str = "relu", rng=None):
         super().__init__()
         if in_size < 1 or out_size < 1:
             raise ValueError("dense sizes must be positive")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unsupported dense activation: {activation}")
+        self.params = _init_params(activation, in_size, (in_size, out_size), out_size, rng)
         self.in_size = in_size
         self.out_size = out_size
         self.activation = activation
-        rng = rng if rng is not None else np.random.default_rng()
-        bound = _init_scale(in_size, activation)
-        self.params = {
-            "w": rng.uniform(-bound, bound, size=(in_size, out_size)),
-            "b": np.zeros(out_size),
-        }
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.in_size:
@@ -413,20 +399,23 @@ class Dense(Layer):
         self.grads = {"w": x.T @ dpre, "b": dpre.sum(axis=0)}
         return dpre @ self.params["w"].T
 
-    def config(self):
-        return {"kind": self.kind, "in_size": self.in_size,
-                "out_size": self.out_size, "activation": self.activation}
-
 
 LAYER_KINDS = {cls.kind: cls for cls in (Conv2D, MaxPool2D, Dropout, Flatten, Dense)}
 
 
 def layer_from_config(cfg: dict) -> Layer:
-    """Rebuild a layer from its config() dict. Parameters are left at init values."""
+    """Rebuild a layer from its config() dict. Parameters are left at init values.
+    Raises ValueError unless cfg is a dict of "kind" and exactly that kind's config_keys."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"layer config must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
-    if kind not in LAYER_KINDS:
+    if not isinstance(kind, str) or kind not in LAYER_KINDS:
         raise ValueError(f"unknown layer kind: {kind!r}")
     kwargs = {k: v for k, v in cfg.items() if k != "kind"}
+    keys = LAYER_KINDS[kind].config_keys
+    if set(kwargs) != set(keys):
+        raise ValueError(f"{kind} layer config: missing keys {sorted(set(keys) - set(kwargs))}, "
+                         f"unknown keys {sorted(set(kwargs) - set(keys))}")
     if kind == "dense" and kwargs.get("activation") == "softmax":
         # Decoders once ended in a softmax Dense; they now emit logits and the
         # caller applies softmax, so such a head is the same layer, linear.

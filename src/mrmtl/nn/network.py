@@ -43,11 +43,8 @@ class Network:
         if not train:
             for layer in self.layers:
                 layer._cache = None
-        for i, layer in enumerate(self.layers):
-            try:
-                x = layer.forward(x, train, rng)
-            except ShapeError as e:
-                raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
+        for layer in self.layers:
+            x = layer.forward(x, train, rng)
         self._forward_recorded = train
         return x
 

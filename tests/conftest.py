@@ -105,6 +105,17 @@ def edit_checkpoint_tensors(path, edit) -> None:
     path.write_bytes(struct.pack("<I", len(new)) + new + b"".join(raw for _, raw in tensors))
 
 
+def edit_checkpoint_header(path, edit) -> None:
+    """Rewrite a checkpoint's JSON header through edit(header), which changes
+    it in place; the tensor bytes stay as they are."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[:4])
+    header = json.loads(blob[4:4 + hlen])
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(struct.pack("<I", len(new)) + new + blob[4 + hlen:])
+
+
 def pytest_configure(config):
     config.acceptance_lines = []
 

@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import re
 import shutil
 import types
 
 import numpy as np
 import pytest
 
-from conftest import edit_checkpoint_tensors, small_mrmtl, write_fake_cifar
+from conftest import (edit_checkpoint_header, edit_checkpoint_tensors, small_mrmtl,
+                      write_fake_cifar)
 from mrmtl import cli, protocol
 from mrmtl.analysis import read_sweep_csv
 from mrmtl.cli import (
@@ -429,10 +431,14 @@ class TestTrainCommand:
     def test_integral_float_fields_are_accepted(self):
         cfg = json.loads(json.dumps(cli.DEFAULT_CONFIG))
         cfg["output_dir"] = "unused"
-        cfg["arch"]["nc"] = 2.0
+        cfg["arch"] = {"nc": 2.0, "nc1": 3.0, "nc2": 4.0, "decoder_hidden": 5.0}
+        cfg["dataset"]["num_classes"] = 4.0
         cfg["training"]["epochs"] = 3.0
         run = cli.validate_config(cfg)
-        assert run.arch.nc == 2
+        # ArchitectureConfig takes only integers, so these arrive converted
+        assert dataclasses.astuple(run.arch) == (2, 3, 4, 4, 5)
+        assert dataclasses.astuple(run.wide_arch) == (7, 7, 7, 4, 5)
+        assert all(type(v) is int for v in dataclasses.astuple(run.arch))
         assert run.training.epochs == 3
 
     def test_wide_baseline_spends_both_rounds_budgets(self, tmp_path):
@@ -711,6 +717,54 @@ class TestCorruptBundle:
 
         assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("part, edit, message", [
+        # the head written without its activation once loaded as a ReLU head
+        ("encoder1", lambda h: h["architecture"]["layers"][-1].pop("activation"),
+         r"encoder1.ckpt: malformed checkpoint header: dense layer config: "
+         r"missing keys \['activation'\]"),
+        ("decoder1", lambda h: h["architecture"]["layers"].__setitem__(1, 5),
+         "decoder1.ckpt: malformed checkpoint header: layer config must be a JSON object"),
+        ("decoder2", lambda h: h["architecture"].update(layers={"a": 1}),
+         "decoder2.ckpt: malformed checkpoint header: layer config must be a JSON object"),
+        ("encoder2", lambda h: h["tensors"][0].update(name=["layer0.b"]),
+         "encoder2.ckpt: malformed checkpoint header: tensor name must be a string"),
+        ("decoder1", lambda h: h["tensors"][0].update(name={}),
+         "decoder1.ckpt: malformed checkpoint header: tensor name must be a string"),
+    ], ids=["missing-layer-key", "layer-not-an-object", "layers-an-object",
+            "tensor-name-a-list", "tensor-name-a-dict"])
+    def test_exit_2_on_malformed_checkpoint_header(self, trained_run, tmp_path, capsys,
+                                                   part, edit, message):
+        def corrupt(bundle):
+            edit_checkpoint_header(bundle / f"{part}.ckpt", edit)
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(mode=["mrmtl"]), r"bundle.json: unknown bundle mode \['mrmtl'\]"),
+        (lambda m: m.update(mode={}), "bundle.json: unknown bundle mode {}"),
+        (lambda m: m["architecture"].update(nc=2.0, nc1=2.0, nc2=2.0),
+         "bundle.json is malformed: .*nc must be an integer, got 2.0"),
+        (lambda m: m["architecture"].update(num_classes=10.0),
+         "bundle.json is malformed: .*num_classes must be an integer, got 10.0"),
+        (lambda m: m["architecture"].update(decoder_hidden=2.0),
+         "bundle.json is malformed: .*decoder_hidden must be an integer, got 2.0"),
+    ], ids=["mode-a-list", "mode-a-dict", "float-widths", "float-num-classes",
+            "float-decoder-hidden"])
+    def test_exit_2_on_malformed_manifest_field(self, trained_run, tmp_path, capsys,
+                                                edit, message):
+        def corrupt(bundle):
+            path = bundle / "bundle.json"
+            manifest = json.loads(path.read_text())
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
+
+        assert self._evaluate_copy(trained_run, tmp_path, corrupt) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 class TestBundleDatasetMismatch:

@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import SMALL_SHAPE, random_split, small_mrmtl, small_srstl
+from conftest import (SMALL_SHAPE, edit_checkpoint_header, random_split, small_mrmtl,
+                      small_srstl)
 from mrmtl import models, nn
 from mrmtl.channel import ChannelConfig, draw_channel, power_norm_forward
 from mrmtl.dataset import batches, make_synthetic
@@ -45,6 +46,18 @@ class TestConfigs:
             ArchitectureConfig(nc=0)
         with pytest.raises(ValueError):
             ArchitectureConfig(nc=4, num_classes=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nc", 4.0), ("nc1", 4.0), ("nc2", 4.0), ("num_classes", 10.0),
+        ("decoder_hidden", 4.0), ("nc", True), ("num_classes", "10"),
+    ])
+    def test_architecture_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            ArchitectureConfig(**{"nc": 4, field: value})
+
+    def test_architecture_accepts_numpy_integers(self):
+        arch = ArchitectureConfig(nc=np.int64(4), num_classes=np.int32(3))
+        assert (arch.nc1, arch.num_classes) == (4, 3)
 
     def test_architecture_dict_roundtrip(self):
         arch = ArchitectureConfig(nc=5, nc1=3, nc2=7, num_classes=4, decoder_hidden=9)
@@ -586,23 +599,19 @@ class TestBundles:
     def test_softmax_head_checkpoints_still_load(self, tmp_path, split_small, awgn_cfg):
         # decoders written before the logits head end in a dense softmax
         # layer; such a bundle must evaluate exactly like the current one
-        import json
-        import struct
-
         model = small_mrmtl(seed=13)
         new, old = tmp_path / "new", tmp_path / "old"
         for out in (new, old):
             save_bundle(model, out, self._arch(), ChannelConfig(seed=0),
                         TrainConfig(epochs=0), "fp")
+
+        def to_softmax(header):
+            head = header["architecture"]["layers"][-1]
+            assert head["activation"] == "linear"
+            head["activation"] = "softmax"
+
         for part in ("decoder1", "decoder2"):
-            path = old / f"{part}.ckpt"
-            data = path.read_bytes()
-            (hlen,) = struct.unpack("<I", data[:4])
-            header = json.loads(data[4:4 + hlen])
-            assert header["architecture"]["layers"][-1]["activation"] == "linear"
-            header["architecture"]["layers"][-1]["activation"] = "softmax"
-            blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-            path.write_bytes(struct.pack("<I", len(blob)) + blob + data[4 + hlen:])
+            edit_checkpoint_header(old / f"{part}.ckpt", to_softmax)
         split = split_small.subset(np.arange(40))
         caches = [evaluate_rounds(load_bundle(d)[0], split, awgn_cfg,
                                   np.random.default_rng(5)) for d in (new, old)]
@@ -666,13 +675,33 @@ class TestBundles:
             load_bundle(tmp_path)
 
     def test_unknown_mode(self, tmp_path):
+        self._reject_mode(tmp_path, "hybrid")
+
+    @pytest.mark.parametrize("mode", [["mrmtl"], {}], ids=["list", "dict"])
+    def test_non_string_mode(self, tmp_path, mode):
+        self._reject_mode(tmp_path, mode)
+
+    def _reject_mode(self, tmp_path, mode):
         import json
 
         model = small_srstl(seed=10)
         save_bundle(model, tmp_path, self._arch(), ChannelConfig(seed=0),
                     TrainConfig(epochs=0), "fp")
         manifest = json.loads((tmp_path / "bundle.json").read_text())
-        manifest["mode"] = "hybrid"
+        manifest["mode"] = mode
         (tmp_path / "bundle.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="mode"):
+        with pytest.raises(BundleError, match="bundle.json: unknown bundle mode"):
+            load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("key", ["nc", "nc1", "nc2", "num_classes", "decoder_hidden"])
+    def test_float_architecture_field_rejected(self, tmp_path, key):
+        import json
+
+        save_bundle(small_mrmtl(seed=13), tmp_path, self._arch(), ChannelConfig(seed=0),
+                    TrainConfig(epochs=0), "fp")
+        manifest = json.loads((tmp_path / "bundle.json").read_text())
+        manifest["architecture"][key] = float(manifest["architecture"][key])
+        (tmp_path / "bundle.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError,
+                           match=f"bundle.json is malformed: .*{key} must be an integer"):
             load_bundle(tmp_path)

@@ -6,12 +6,17 @@ match, bit for bit, the reference im2col/col2im and argmax-pool layers kept
 below.
 """
 
+import inspect
+import struct
+
 import numpy as np
 import pytest
 
-from conftest import edit_checkpoint_tensors
+from conftest import edit_checkpoint_header, edit_checkpoint_tensors
 from gradcheck import gradcheck
 from mrmtl import nn
+from mrmtl.models import build_decoder
+from mrmtl.nn.layers import LAYER_KINDS, layer_from_config
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -931,17 +936,98 @@ def test_checkpoint_tensor_order_follows_the_header(tmp_path):
 
 
 def test_checkpoint_version_guard(tmp_path):
-    import json
-    import struct
-
     net = _tiny_net(seed=14)
     path = tmp_path / "net.ckpt"
     nn.save_checkpoint(net, path)
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack("<I", blob[:4])
-    header = json.loads(blob[4:4 + hlen])
-    header["format_version"] = 99
-    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(struct.pack("<I", len(new)) + new + blob[4 + hlen:])
+    edit_checkpoint_header(path, lambda header: header.update(format_version=99))
     with pytest.raises(ValueError, match="format_version"):
         nn.load_checkpoint(path)
+
+
+def test_checkpoint_header_bytes_are_fixed(tmp_path):
+    # a literal, so any change to the header format shows: it would change
+    # every checkpoint and bundle this package writes
+    path = tmp_path / "decoder.ckpt"
+    nn.save_checkpoint(build_decoder(4, 3, 0, 10), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[:4])
+    assert blob[4:4 + hlen] == (
+        b'{"architecture":{"input_shape":[4],"layers":['
+        b'{"activation":"relu","in_size":4,"kind":"dense","out_size":4},'
+        b'{"kind":"dropout","rate":0.1},'
+        b'{"activation":"relu","in_size":4,"kind":"dense","out_size":3},'
+        b'{"activation":"linear","in_size":3,"kind":"dense","out_size":10}]},'
+        b'"format_version":1,"metadata":{},"tensors":['
+        b'{"name":"layer0.b","shape":[4]},{"name":"layer0.w","shape":[4,4]},'
+        b'{"name":"layer2.b","shape":[3]},{"name":"layer2.w","shape":[4,3]},'
+        b'{"name":"layer3.b","shape":[10]},{"name":"layer3.w","shape":[3,10]}]}'
+    )
+
+
+# ---------------------------------------------------------------------------
+# the config rule: each layer names its constructor arguments once
+
+# one of each kind, every argument away from its default
+LAYER_EXAMPLES = {
+    "conv2d": lambda: nn.Conv2D(3, 4, 5, "linear", rng=np.random.default_rng(0)),
+    "maxpool2d": lambda: nn.MaxPool2D(4),
+    "dropout": lambda: nn.Dropout(0.3),
+    "flatten": lambda: nn.Flatten(),
+    "dense": lambda: nn.Dense(6, 2, "linear", rng=np.random.default_rng(0)),
+}
+
+
+def test_layer_examples_cover_every_kind():
+    assert set(LAYER_EXAMPLES) == set(LAYER_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_EXAMPLES))
+def test_config_keys_are_the_constructor_arguments(kind):
+    cls = LAYER_KINDS[kind]
+    params = inspect.signature(cls).parameters
+    assert cls.config_keys == tuple(name for name in params if name != "rng")
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_EXAMPLES))
+def test_layer_config_roundtrip(kind):
+    layer = LAYER_EXAMPLES[kind]()
+    cfg = layer.config()
+    assert set(cfg) == {"kind", *type(layer).config_keys} and cfg["kind"] == kind
+    rebuilt = layer_from_config(cfg)
+    assert type(rebuilt) is type(layer) and rebuilt.config() == cfg
+
+
+def _layers(header):
+    return header["architecture"]["layers"]
+
+
+# _tiny_net's layers: conv2d, maxpool2d, flatten, dense, dropout, dense
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: _layers(h)[5].pop("activation"),
+     r"dense layer config: missing keys \['activation'\]"),
+    (lambda h: _layers(h)[0].pop("kernel_size"),
+     r"conv2d layer config: missing keys \['kernel_size'\]"),
+    (lambda h: _layers(h)[1].pop("pool_size"),
+     r"maxpool2d layer config: missing keys \['pool_size'\]"),
+    (lambda h: _layers(h)[3].update(bias=True),
+     r"dense layer config: missing keys \[\], unknown keys \['bias'\]"),
+    (lambda h: _layers(h)[2].update(size=12), r"flatten layer config: .*unknown keys \['size'\]"),
+    (lambda h: _layers(h)[1].update(pool_size=2.0), "pool_size must be a positive integer"),
+    (lambda h: _layers(h).__setitem__(1, 5), "layer config must be a JSON object, got 5"),
+    (lambda h: h["architecture"].update(layers={"a": 1}),
+     "layer config must be a JSON object, got 'a'"),
+    (lambda h: _layers(h)[0].update(kind=["conv2d"]), r"unknown layer kind: \['conv2d'\]"),
+    (lambda h: h["tensors"][0].update(name=["layer0.b"]),
+     r"tensor name must be a string, got \['layer0.b'\]"),
+    (lambda h: h["tensors"][0].update(name={}), "tensor name must be a string, got {}"),
+], ids=["missing-dense-key", "missing-conv-key", "missing-pool-key", "extra-dense-key",
+        "extra-flatten-key", "float-pool-size", "layer-not-an-object", "layers-an-object", "kind-a-list",
+        "tensor-name-a-list", "tensor-name-a-dict"])
+def test_checkpoint_header_must_follow_the_config_rule(tmp_path, edit, message):
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(_tiny_net(seed=17), path)
+    edit_checkpoint_header(path, edit)
+    with pytest.raises(nn.CheckpointError,
+                       match=f"net.ckpt: malformed checkpoint header: {message}"):
+        nn.load_checkpoint(path)
+
