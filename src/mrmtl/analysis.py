@@ -8,14 +8,13 @@ re-parsed to recompute every reported number.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .models import DecoderOutput
+from .models import DecoderOutput, write_json
 from .protocol import (
     CalibrationStats,
     ProtocolTrace,
@@ -112,29 +111,19 @@ def build_report(cache: RoundCache, delta: float, config: dict, *, sweep_grid,
 # file emission
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_traces_csv(traces, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
-        for t in traces:
-            w.writerow([
-                t.sample_index,
-                t.true_label,
-                t.round1.predicted,
-                _fmt(float(t.round1.confidence)),
-                _fmt(t.escalated),
-                t.round2.predicted if t.round2 is not None else "",
-                t.final_predicted,
-                t.delay,
-            ])
+    _write_csv(path, TRACE_COLUMNS, (
+        [t.sample_index, t.true_label, t.round1.predicted,
+         repr(float(t.round1.confidence)), int(t.escalated),
+         t.round2.predicted if t.round2 is not None else "", t.final_predicted, t.delay]
+        for t in traces))
 
 
 def read_traces_csv(path) -> list[ProtocolTrace]:
@@ -172,11 +161,8 @@ def read_traces_csv(path) -> list[ProtocolTrace]:
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            w.writerow([_fmt(float(row[c])) for c in SWEEP_COLUMNS])
+    _write_csv(path, SWEEP_COLUMNS,
+               ([repr(float(row[c])) for c in SWEEP_COLUMNS] for row in rows))
 
 
 def read_sweep_csv(path) -> list[dict]:
@@ -188,11 +174,8 @@ def read_sweep_csv(path) -> list[dict]:
 
 
 def write_confusion_csv(matrix: ConfusionMatrix, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["true_class"] + list(matrix.class_names))
-        for name, row in zip(matrix.class_names, matrix.counts):
-            w.writerow([name] + [int(v) for v in row])
+    _write_csv(path, ["true_class", *matrix.class_names],
+               ([name, *row.tolist()] for name, row in zip(matrix.class_names, matrix.counts)))
 
 
 def read_confusion_csv(path) -> ConfusionMatrix:
@@ -211,18 +194,8 @@ def calibration_to_dict(stats: CalibrationStats | None) -> dict:
     if stats is None:
         return {"mean_conf_correct": None, "mean_conf_incorrect": None,
                 "delta_star": None, "available": False}
-    return {
-        "available": True,
-        "mean_conf_correct": stats.mean_conf_correct,
-        "mean_conf_incorrect": stats.mean_conf_incorrect,
-        "delta_star": stats.delta_star,
-        "n_correct": stats.n_correct,
-        "n_incorrect": stats.n_incorrect,
-        "separated": stats.separated,
-        "bin_edges": [float(v) for v in stats.bin_edges],
-        "histogram_correct": [int(v) for v in stats.histogram_correct],
-        "histogram_incorrect": [int(v) for v in stats.histogram_incorrect],
-    }
+    return {"available": True, **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                                  for k, v in asdict(stats).items()}}
 
 
 def emit_report(report: RunReport, out_dir) -> list[Path]:
@@ -233,28 +206,24 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    calibration = calibration_to_dict(report.calibration)
     doc = {
         "format_version": REPORT_VERSION,
         "config": report.config,
         "srstl": report.srstl,
         "mrmtl": report.mrmtl,
         "protocol": report.protocol,
-        "calibration": calibration_to_dict(report.calibration),
+        "calibration": calibration,
         "generated_at": report.generated_at,
     }
-    paths = []
-
-    def emit(name: str, writer) -> None:
-        path = out / name
-        writer(path)
-        paths.append(path)
-
-    emit("report.json", lambda p: p.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"))
-    emit("traces.csv", lambda p: write_traces_csv(report.traces, p))
-    emit("sweep.csv", lambda p: write_sweep_csv(report.sweep, p))
-    emit("confusion_round1.csv", lambda p: write_confusion_csv(report.confusion_round1, p))
-    emit("confusion_round2.csv", lambda p: write_confusion_csv(report.confusion_round2, p))
-    emit("calibration.json", lambda p: p.write_text(
-        json.dumps(calibration_to_dict(report.calibration), indent=2, sort_keys=True) + "\n"))
-    return paths
+    files = {
+        "report.json": (write_json, doc),
+        "traces.csv": (write_traces_csv, report.traces),
+        "sweep.csv": (write_sweep_csv, report.sweep),
+        "confusion_round1.csv": (write_confusion_csv, report.confusion_round1),
+        "confusion_round2.csv": (write_confusion_csv, report.confusion_round2),
+        "calibration.json": (write_json, calibration),
+    }
+    for name, (write, data) in files.items():
+        write(data, out / name)
+    return [out / name for name in files]

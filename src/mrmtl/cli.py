@@ -35,6 +35,7 @@ from .models import (
     save_bundle,
     train_mrmtl,
     train_srstl,
+    write_json,
 )
 from .nn import CheckpointError, NumericError
 
@@ -116,8 +117,8 @@ def load_run_config(args) -> dict:
             raise ConfigError(f"config file not found: {path}")
         try:
             file_cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = _deep_update(cfg, file_cfg)
@@ -348,8 +349,7 @@ def cmd_calibrate(args) -> int:
     stats = _calibrate(model, dataset, run)
     run.output_dir.mkdir(parents=True, exist_ok=True)
     path = run.output_dir / "calibration.json"
-    path.write_text(json.dumps(analysis.calibration_to_dict(stats),
-                               indent=2, sort_keys=True) + "\n")
+    write_json(analysis.calibration_to_dict(stats), path)
     print(f"calibration written: {path}")
     return EXIT_OK
 
@@ -401,7 +401,11 @@ def cmd_report(args) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{traces_path} is malformed: {e}") from None
     try:
-        stored = json.loads(report_path.read_text())["protocol"]
+        doc = json.loads(report_path.read_text())
+        version = doc["format_version"]
+        if type(version) is not int or version != analysis.REPORT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
+        stored = doc["protocol"]
         if not all(type(stored[key]) in (int, float) for key in recomputed):
             raise TypeError(f"protocol {', '.join(recomputed)} must be numbers")
     except (KeyError, TypeError, ValueError) as e:

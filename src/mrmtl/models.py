@@ -391,6 +391,11 @@ class BundleError(ValueError):
     """Bundle directory is missing files or inconsistent."""
 
 
+def write_json(obj, path) -> None:
+    """Write one JSON artifact: sorted keys, two-space indent, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def save_bundle(model, out_dir, arch: ArchitectureConfig, channel_cfg: ChannelConfig,
                 train_cfg: TrainConfig, dataset_fingerprint: str,
                 training_log: list[dict] | None = None) -> Path:
@@ -414,10 +419,9 @@ def save_bundle(model, out_dir, arch: ArchitectureConfig, channel_cfg: ChannelCo
         "training": train_cfg.to_dict(),
         "dataset_fingerprint": dataset_fingerprint,
     }
-    (out / "bundle.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest, out / "bundle.json")
     if training_log is not None:
-        (out / "training_log.json").write_text(
-            json.dumps(training_log, indent=2, sort_keys=True) + "\n")
+        write_json(training_log, out / "training_log.json")
     return out
 
 
@@ -433,8 +437,9 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
         raise BundleError(f"{manifest_path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise BundleError(f"{manifest_path} must hold a JSON object")
-    if manifest.get("format_version") != BUNDLE_VERSION:
-        raise BundleError(f"unsupported bundle version {manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != BUNDLE_VERSION:
+        raise BundleError(f"{manifest_path}: unsupported bundle version {version!r}")
     try:
         arch = ArchitectureConfig(**manifest["architecture"])
         mode = manifest["mode"]

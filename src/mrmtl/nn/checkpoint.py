@@ -67,10 +67,9 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     path = Path(path)
     with open(path, "rb") as f:
         header = _parse_header(f, path.name)
-        if header.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path.name}: unsupported format_version {header.get('format_version')}"
-            )
+        version = header.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CheckpointError(f"{path.name}: unsupported format_version {version!r}")
         try:
             arch = header["architecture"]
             net = Network([layer_from_config(c) for c in arch["layers"]],

@@ -1,5 +1,6 @@
 """Reporting layer: confusion counting, CSV/JSON artifacts, charts."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -20,6 +21,7 @@ from mrmtl.analysis import (
     write_traces_csv,
 )
 from mrmtl.protocol import (
+    CalibrationStats,
     apply_threshold,
     average_delay,
     escalation_rate,
@@ -29,6 +31,16 @@ from mrmtl.protocol import (
 from test_protocol import crafted_cache, random_cache
 
 NAMES = [f"class_{i}" for i in range(10)]
+
+# emit_report's files for the fixed report in test_artifact_bytes_are_fixed
+ARTIFACT_SHA256 = {
+    "report.json": "9c250ca2ca94642bd6489688a08e09823d7322284c5d593196334ae50aef752d",
+    "traces.csv": "2230ff146b50a9dedb84adeebe086d744515aaadab230a8af8b9253507f3f6cb",
+    "sweep.csv": "9872f5d2fc1d749765a057f41c80b282e104f361de596f515e8c0f6c7d8d94df",
+    "confusion_round1.csv": "89f9d8531e5d9276314ee668959fc84fcbc1471c45372d4e96547f9c9c5a5634",
+    "confusion_round2.csv": "f33ef961649929d2aac89299201c25bb8c2774f054aea7270dbeb60fb85ef444",
+    "calibration.json": "cb253f9a9aa1b4ef57b20e979a56092a2cf934cc94ce17c90878bb7d51594a6a",
+}
 
 
 class TestConfusion:
@@ -216,6 +228,24 @@ class TestReports:
         assert doc["calibration"]["delta_star"] == 0.7
         standalone = json.loads((tmp_path / "calibration.json").read_text())
         assert standalone == doc["calibration"]
+
+    def test_artifact_bytes_are_fixed(self, tmp_path):
+        # digests of every file emit_report writes, so any change to the JSON
+        # or CSV encoding shows: it would change every report this package
+        # writes
+        stats = CalibrationStats(
+            mean_conf_correct=0.7, mean_conf_incorrect=0.1 + 0.2, delta_star=0.5,
+            histogram_correct=np.array([0, 2, 5, 9]),
+            histogram_incorrect=np.array([6, 3, 1, 0]),
+            bin_edges=np.linspace(0.0, 1.0, 5), n_correct=16, n_incorrect=10,
+            separated=True)
+        report = build_report(random_cache(seed=30, n=40), 0.2, {"run": "pinned"},
+                              sweep_grid=[0.0, 0.15, 0.2, 1 / 3, 1.01],
+                              calibration=stats, class_names=NAMES)
+        report.generated_at = "2026-01-01T00:00:00+00:00"
+        paths = emit_report(report, tmp_path)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        assert digests == ARTIFACT_SHA256
 
 
 class TestCharts:

@@ -327,6 +327,15 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_config_file_not_utf8_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        # a decode error is a bad input file, as a JSON syntax error is
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert f"config file {path} is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["train", "--seed", "-1", "--output", str(out)]) == 2
@@ -732,8 +741,13 @@ class TestCorruptBundle:
          "encoder2.ckpt: malformed checkpoint header: tensor name must be a string"),
         ("decoder1", lambda h: h["tensors"][0].update(name={}),
          "decoder1.ckpt: malformed checkpoint header: tensor name must be a string"),
+        # True == 1 == 1.0, so an equality test alone lets both through
+        ("encoder1", lambda h: h.update(format_version=True),
+         "encoder1.ckpt: unsupported format_version True"),
+        ("decoder2", lambda h: h.update(format_version=1.0),
+         "decoder2.ckpt: unsupported format_version 1.0"),
     ], ids=["missing-layer-key", "layer-not-an-object", "layers-an-object",
-            "tensor-name-a-list", "tensor-name-a-dict"])
+            "tensor-name-a-list", "tensor-name-a-dict", "version-true", "version-float"])
     def test_exit_2_on_malformed_checkpoint_header(self, trained_run, tmp_path, capsys,
                                                    part, edit, message):
         def corrupt(bundle):
@@ -752,8 +766,12 @@ class TestCorruptBundle:
          "bundle.json is malformed: .*num_classes must be an integer, got 10.0"),
         (lambda m: m["architecture"].update(decoder_hidden=2.0),
          "bundle.json is malformed: .*decoder_hidden must be an integer, got 2.0"),
+        (lambda m: m.update(format_version=True),
+         "bundle.json: unsupported bundle version True"),
+        (lambda m: m.update(format_version=1.0),
+         r"bundle.json: unsupported bundle version 1\.0"),
     ], ids=["mode-a-list", "mode-a-dict", "float-widths", "float-num-classes",
-            "float-decoder-hidden"])
+            "float-decoder-hidden", "version-true", "version-float"])
     def test_exit_2_on_malformed_manifest_field(self, trained_run, tmp_path, capsys,
                                                 edit, message):
         def corrupt(bundle):
@@ -834,6 +852,12 @@ def _with_protocol_accuracy(report_text: str, value) -> str:
     return json.dumps(doc)
 
 
+def _with_format_version(report_text: str, value) -> str:
+    doc = json.loads(report_text)
+    doc["format_version"] = value
+    return json.dumps(doc)
+
+
 class TestReportCommand:
     def _fresh_report(self, trained_run, tmp_path):
         code = cli.main(["evaluate", "--config", str(trained_run["config"]),
@@ -875,6 +899,12 @@ class TestReportCommand:
                      id="report-not-json"),
         pytest.param("report.json", lambda text: _with_protocol_accuracy(text, "x"),
                      id="report-non-numeric"),
+        pytest.param("report.json", lambda text: _with_format_version(text, 2),
+                     id="report-version-2"),
+        pytest.param("report.json", lambda text: _with_format_version(text, True),
+                     id="report-version-true"),
+        pytest.param("report.json", lambda text: _with_format_version(text, 1.0),
+                     id="report-version-float"),
         pytest.param("traces.csv", lambda text: text.replace("true_label", "label", 1),
                      id="traces-wrong-columns"),
         pytest.param("traces.csv", lambda text: text.replace("\n0,", "\nzero,", 1),

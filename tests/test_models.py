@@ -1,6 +1,7 @@
 """Model assembly, joint loss, the two-round forward, training loops, bundles."""
 
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -583,6 +584,22 @@ class TestBundles:
                 assert np.array_equal(pa, pb)
         assert loaded.loss_weight == 0.5
         assert (loaded.nc1, loaded.nc2) == (4, 4)
+
+    def test_manifest_and_log_bytes_are_fixed(self, tmp_path):
+        # the two JSON files of a bundle; the checkpoint header is pinned in
+        # test_nn.py
+        log = [{"epoch": 0, "train_loss": 2.0 / 3.0, "train_accuracy": 0.1,
+                "test_accuracy": 0.125}]
+        save_bundle(small_srstl(seed=7), tmp_path, self._arch(),
+                    ChannelConfig(kind="rayleigh", snr_db=0.5, seed=3),
+                    TrainConfig(epochs=1, lr=1e-3), "fp", training_log=log)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("bundle.json", "training_log.json")}
+        assert digests == {
+            "bundle.json": "181728b079b77fc48de16b896b05578e86404b68a61987a672170a99777a7180",
+            "training_log.json":
+                "4fae8df66e8a29849a22b62cd4ec1a5fdd78e4229acb9ce4634f7b3929e1fa7f",
+        }
 
     def test_srstl_roundtrip(self, tmp_path):
         model = small_srstl(seed=7)
