@@ -80,24 +80,15 @@ def build_report(cache: RoundCache, delta: float, config: dict, *, sweep_grid,
                  calibration: CalibrationStats | None = None,
                  srstl: dict | None = None, class_names: list[str]) -> RunReport:
     """Assemble a report from one evaluation cache at one threshold."""
-    traces = apply_threshold(cache, delta)
-    n = len(cache)
     num_classes = cache.round1_probs.shape[1]
-    r1_acc = int(np.count_nonzero(cache.round1_pred == cache.true_labels)) / n
-    r2_acc = int(np.count_nonzero(cache.round2_pred == cache.true_labels)) / n
-    protocol_section = {"delta": delta, "num_samples": n, **operating_point(cache, delta)}
-    mrmtl_section = {
-        "nc1": cache.nc1,
-        "nc2": cache.nc2,
-        "round1_accuracy": r1_acc,
-        "round2_accuracy": r2_acc,
-    }
+    r1_acc, r2_acc = cache.head_accuracies()
     return RunReport(
         config=config,
-        mrmtl=mrmtl_section,
-        protocol=protocol_section,
+        mrmtl={"nc1": cache.nc1, "nc2": cache.nc2,
+               "round1_accuracy": r1_acc, "round2_accuracy": r2_acc},
+        protocol={"delta": delta, "num_samples": len(cache), **operating_point(cache, delta)},
         sweep=sweep_from_cache(cache, sweep_grid),
-        traces=traces,
+        traces=apply_threshold(cache, delta),
         confusion_round1=confusion(cache.round1_pred, cache.true_labels, num_classes,
                                    class_names),
         confusion_round2=confusion(cache.round2_pred, cache.true_labels, num_classes,
@@ -130,7 +121,9 @@ def read_traces_csv(path) -> list[ProtocolTrace]:
     """Parse an exported trace table.
 
     Probability vectors are not serialized, so the rebuilt DecoderOutput
-    objects carry probs=None; all scalar statistics recompute exactly.
+    objects carry probs=None; all scalar statistics recompute exactly. Rows
+    must hold sample indices 0 to N-1 in order, as apply_threshold() emits
+    them.
     """
     traces = []
     with open(path, newline="") as f:
@@ -138,6 +131,10 @@ def read_traces_csv(path) -> list[ProtocolTrace]:
         if reader.fieldnames != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace columns: {reader.fieldnames}")
         for row in reader:
+            index = int(row["sample_index"])
+            if index != len(traces):
+                raise ValueError(f"line {reader.line_num}: sample_index {index}, expected "
+                                 f"{len(traces)}; indices run 0 to N-1 in order")
             if row["escalated"] not in ("0", "1"):
                 raise ValueError(f"line {reader.line_num}: escalated must be 0 or 1")
             escalated = row["escalated"] == "1"
@@ -149,7 +146,7 @@ def read_traces_csv(path) -> list[ProtocolTrace]:
                 r2 = DecoderOutput(probs=None, predicted=int(row["round2_pred"]),
                                    confidence=float("nan"))
             traces.append(ProtocolTrace(
-                sample_index=int(row["sample_index"]),
+                sample_index=index,
                 round1=r1,
                 escalated=escalated,
                 round2=r2,

@@ -28,7 +28,7 @@ from .dataset import (CIFAR10_CLASS_NAMES, CifarFormatError, Dataset, dataset_fi
 from .models import (
     ArchitectureConfig,
     BundleError,
-    MrmtlModel,
+    Model,
     TrainConfig,
     TrainingError,
     load_bundle,
@@ -120,7 +120,7 @@ def load_run_config(args) -> dict:
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"config file {path} must hold a JSON object")
         cfg = _deep_update(cfg, file_cfg)
 
     flags: dict = {}
@@ -271,12 +271,17 @@ def validate_config(cfg: dict) -> Run:
         raise ConfigError("calibration_split must be 'test' or 'train'")
     if not cfg["output_dir"] or not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be set to a path")
+    output_dir = Path(cfg["output_dir"])
+    # the nearest existing ancestor is where the commands' mkdir would fail
+    existing = next(d for d in (output_dir, *output_dir.parents) if d.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir {output_dir}: {existing} is not a directory")
     return Run(load_dataset=load_dataset, channel=channel, arch=arch, wide_arch=wide_arch,
                training=training, delta=delta, grid=grid, num_bins=num_bins,
-               calibration_split=p["calibration_split"], output_dir=Path(cfg["output_dir"]))
+               calibration_split=p["calibration_split"], output_dir=output_dir)
 
 
-def _bundle_setup(args) -> tuple[dict, Run, MrmtlModel, dict, Dataset]:
+def _bundle_setup(args) -> tuple[dict, Run, Model, dict, Dataset]:
     """What calibrate and evaluate start from: the merged config and its
     parsed Run, the MRMTL bundle and its manifest, and a dataset it fits."""
     cfg = load_run_config(args)
@@ -285,8 +290,8 @@ def _bundle_setup(args) -> tuple[dict, Run, MrmtlModel, dict, Dataset]:
     if not (path / "bundle.json").is_file():
         raise ConfigError(f"no trained bundle at {path}")
     model, manifest = load_bundle(path)
-    if manifest["mode"] != "mrmtl":
-        raise ConfigError(f"bundle at {path} is {manifest['mode']}, need mrmtl "
+    if model.mode != "mrmtl":
+        raise ConfigError(f"bundle at {path} is {model.mode}, need mrmtl "
                           "for protocol evaluation")
     dataset = run.load_dataset()
     bundle_io = (model.encoder1.input_shape, model.decoder1.output_shape[0])
@@ -297,7 +302,7 @@ def _bundle_setup(args) -> tuple[dict, Run, MrmtlModel, dict, Dataset]:
     return cfg, run, model, manifest, dataset
 
 
-def _calibrate(model: MrmtlModel, dataset: Dataset, run: Run):
+def _calibrate(model: Model, dataset: Dataset, run: Run):
     """Calibrate δ* on the configured split and print the statistics."""
     rng = np.random.default_rng([run.channel.seed, _CALIBRATE_STREAM])
     stats = protocol.calibrate_threshold(
@@ -320,26 +325,22 @@ def cmd_train(args) -> int:
     dataset = run.load_dataset()
     fingerprint = dataset_fingerprint(dataset)
 
+    # (bundle name, architecture, trainer, summary of the last log entry)
+    srstl = (train_srstl, "test {test_accuracy:.4f}")
     jobs = []
     if args.mode in ("mrmtl", "both"):
-        jobs.append(("mrmtl", run.arch))
+        jobs.append(("mrmtl", run.arch, train_mrmtl,
+                     "round1 {test_accuracy_round1:.4f} round2 {test_accuracy_round2:.4f}"))
     if args.mode in ("srstl", "both"):
-        jobs.append((f"srstl_nc{run.arch.nc1}", run.arch))
+        jobs.append((f"srstl_nc{run.arch.nc1}", run.arch, *srstl))
     if args.mode == "both":
-        jobs.append((f"srstl_nc{run.wide_arch.nc1}", run.wide_arch))
+        jobs.append((f"srstl_nc{run.wide_arch.nc1}", run.wide_arch, *srstl))
 
-    for name, job_arch in jobs:
-        if name == "mrmtl":
-            model, log = train_mrmtl(dataset, job_arch, run.channel, run.training)
-            last = log[-1] if log else {}
-            summary = (f"round1 {last.get('test_accuracy_round1', float('nan')):.4f} "
-                       f"round2 {last.get('test_accuracy_round2', float('nan')):.4f}"
-                       if log else "untrained")
-        else:
-            model, log = train_srstl(dataset, job_arch, run.channel, run.training)
-            summary = (f"test {log[-1]['test_accuracy']:.4f}" if log else "untrained")
+    for name, job_arch, train, summary in jobs:
+        model, log = train(dataset, job_arch, run.channel, run.training)
         bundle_dir = save_bundle(model, run.output_dir / name, job_arch, run.channel,
                                  run.training, fingerprint, log)
+        summary = summary.format(**log[-1]) if log else "untrained"
         print(f"bundle written: {bundle_dir} ({summary})")
     return EXIT_OK
 
@@ -408,6 +409,8 @@ def cmd_report(args) -> int:
         stored = doc["protocol"]
         if not all(type(stored[key]) in (int, float) for key in recomputed):
             raise TypeError(f"protocol {', '.join(recomputed)} must be numbers")
+        if type(stored["num_samples"]) is not int:
+            raise TypeError("protocol num_samples must be an integer")
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{report_path} is malformed: {e!r}") from None
     print(f"{'metric':<16} {'stored':>12} {'from traces':>12}")
@@ -417,6 +420,10 @@ def cmd_report(args) -> int:
         mismatch = mismatch or not ok
         flag = "" if ok else "  MISMATCH"
         print(f"{key:<16} {stored[key]:>12.6f} {value:>12.6f}{flag}")
+    if stored["num_samples"] != len(traces):
+        mismatch = True
+        print(f"{report_path} has {stored['num_samples']} samples, {traces_path} has "
+              f"{len(traces)}", file=sys.stderr)
     if mismatch:
         print("report numbers do not match the exported traces", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,17 +1,17 @@
 """Encoder/decoder assembly, training, and the two-round forward pass.
 
-Two system variants share the same building blocks and one training loop:
+Two system variants share one model type, Model, and one training loop:
 
 * multi-round (MRMTL): two encoder/decoder heads trained jointly with the
   weighted loss l = w*l1 + (1-w)*l2, where the Round-2 decoder sees the
   concatenation [r1, r2] of both rounds' received signals;
-* single-round (SRSTL): the one-round case, one encoder/decoder pair
+* single-round (SRSTL): the one-round case, a Model with no Round-2 pair,
   trained end to end on l1 for a fixed number of channel uses.
 
 All transmissions pass through power normalization, then the channel.
 Channel gains and noise are redrawn on every forward pass; gradients treat
 the drawn gain as a constant multiplier. The per-epoch test accuracies come
-from the receiver's chunk loop (protocol._round_probs), with every chunk
+from the receiver's chunk loop (protocol._receive), with every chunk
 drawing from the training loop's rng.
 """
 
@@ -35,11 +35,6 @@ from .channel import (
     power_norm_forward,
 )
 from .dataset import Dataset, Split, batches
-
-# Inference walks a split in unshuffled chunks of this many samples
-# (protocol._round_probs), so its draws depend only on rng state and order.
-CHUNK = 64
-
 
 class TrainingError(RuntimeError):
     """Training diverged (non-finite loss)."""
@@ -110,24 +105,24 @@ class DecoderOutput:
 
 
 @dataclass
-class SrstlModel:
+class Model:
+    """Either kind's networks. An SRSTL model has no Round-2 pair; it carries
+    its bundle's nc2 and loss_weight, but one round reads neither."""
+
     encoder1: nn.Network
     decoder1: nn.Network
-    nc1: int
-
-
-@dataclass
-class MrmtlModel:
-    encoder1: nn.Network
-    encoder2: nn.Network
-    decoder1: nn.Network
-    decoder2: nn.Network
-    loss_weight: float
     nc1: int
     nc2: int
+    loss_weight: float
+    encoder2: nn.Network | None = None
+    decoder2: nn.Network | None = None
+
+    @property
+    def mode(self) -> str:
+        return "srstl" if self.encoder2 is None else "mrmtl"
 
 
-# bundle part names per mode; both model kinds name their networks after them
+# bundle part names per mode; a Model names its networks after them
 PARTS = {"mrmtl": ("encoder1", "encoder2", "decoder1", "decoder2"),
          "srstl": ("encoder1", "decoder1")}
 
@@ -231,7 +226,7 @@ def _forward(model, images, draw1: ChannelDraw, draw2: ChannelDraw | None = None
     return probs1, _decode2(model, r1, r2, train, rng), (cache1, cache2)
 
 
-def mrmtl_loss(model: MrmtlModel, images, labels, draw1: ChannelDraw, draw2: ChannelDraw,
+def mrmtl_loss(model: Model, images, labels, draw1: ChannelDraw, draw2: ChannelDraw,
                w: float | None = None, train: bool = False, rng=None):
     """Forward pass of both heads; returns (loss, l1, l2, probs1, probs2)."""
     w = model.loss_weight if w is None else w
@@ -286,7 +281,7 @@ def _release_gradients(nets) -> None:
             layer._cache = None
 
 
-def mrmtl_head_accuracies(model, split: Split, cfg: ChannelConfig,
+def mrmtl_head_accuracies(model: Model, split: Split, cfg: ChannelConfig,
                           rng) -> tuple[float, float | None]:
     """Round-1 and Round-2 head accuracies over fresh channel draws.
 
@@ -294,22 +289,12 @@ def mrmtl_head_accuracies(model, split: Split, cfg: ChannelConfig,
     round 1 and then round 2 (delta = inf). An SRSTL model has no Round-2
     head: it runs round 1 alone (delta = 0), and its second accuracy is None.
     """
-    from .protocol import _round_probs  # protocol imports this module
+    from .protocol import _receive  # protocol imports this module
 
-    two_rounds = isinstance(model, MrmtlModel)
-    probs1, probs2 = _round_probs(model, split, cfg, functools.partial(itertools.repeat, rng),
-                                  np.inf if two_rounds else 0.0)
-    acc1, acc2 = (int(np.count_nonzero(p.argmax(axis=1) == split.labels)) / len(split)
-                  for p in (probs1, probs2))
+    two_rounds = model.mode == "mrmtl"
+    acc1, acc2 = _receive(model, split, cfg, functools.partial(itertools.repeat, rng),
+                          np.inf if two_rounds else 0.0).head_accuracies()
     return acc1, (acc2 if two_rounds else None)
-
-
-def _assemble(mode: str, nets: dict, arch: ArchitectureConfig,
-              loss_weight: float | None) -> SrstlModel | MrmtlModel:
-    """The model of kind mode over its PARTS networks."""
-    if mode == "mrmtl":
-        return MrmtlModel(**nets, loss_weight=loss_weight, nc1=arch.nc1, nc2=arch.nc2)
-    return SrstlModel(**nets, nc1=arch.nc1)
 
 
 def _train(mode: str, dataset: Dataset, arch: ArchitectureConfig,
@@ -330,7 +315,7 @@ def _train(mode: str, dataset: Dataset, arch: ArchitectureConfig,
     nets = {name: build_encoder(widths[name], seed) if name.startswith("encoder")
             else build_decoder(widths[name], arch.decoder_hidden, seed, arch.num_classes)
             for name, seed in zip(PARTS[mode], seeds)}
-    model = _assemble(mode, nets, arch, cfg.loss_weight)
+    model = Model(**nets, nc1=arch.nc1, nc2=arch.nc2, loss_weight=cfg.loss_weight)
     rng = np.random.default_rng(loop_seed)
     opt = nn.Adam(lr=cfg.lr)
     log: list[dict] = []
@@ -366,13 +351,13 @@ def _train(mode: str, dataset: Dataset, arch: ArchitectureConfig,
 
 
 def train_srstl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: ChannelConfig,
-                cfg: TrainConfig) -> tuple[SrstlModel, list[dict]]:
+                cfg: TrainConfig) -> tuple[Model, list[dict]]:
     """End-to-end training of the single-round pair; returns (model, log)."""
     return _train("srstl", dataset, arch, channel_cfg, cfg)
 
 
 def train_mrmtl(dataset: Dataset, arch: ArchitectureConfig, channel_cfg: ChannelConfig,
-                cfg: TrainConfig) -> tuple[MrmtlModel, list[dict]]:
+                cfg: TrainConfig) -> tuple[Model, list[dict]]:
     """Joint training of both rounds against l = w*l1 + (1-w)*l2.
 
     Both heads are evaluated on every batch; r1 and r2 go through
@@ -406,7 +391,7 @@ def save_bundle(model, out_dir, arch: ArchitectureConfig, channel_cfg: ChannelCo
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mode = "mrmtl" if isinstance(model, MrmtlModel) else "srstl"
+    mode = model.mode
     for name in PARTS[mode]:
         nn.save_checkpoint(getattr(model, name), out / f"{name}.ckpt",
                            metadata={"part": name, "mode": mode})
@@ -425,7 +410,7 @@ def save_bundle(model, out_dir, arch: ArchitectureConfig, channel_cfg: ChannelCo
     return out
 
 
-def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
+def load_bundle(bundle_dir) -> tuple[Model, dict]:
     """Rebuild a model from a bundle directory; returns (model, manifest)."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / "bundle.json"
@@ -443,7 +428,7 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
     try:
         arch = ArchitectureConfig(**manifest["architecture"])
         mode = manifest["mode"]
-        loss_weight = manifest["training"]["loss_weight"] if mode == "mrmtl" else None
+        loss_weight = manifest["training"]["loss_weight"]
     except (KeyError, TypeError, ValueError) as e:
         raise BundleError(f"{manifest_path} is malformed: {e!r}") from None
 
@@ -477,4 +462,4 @@ def load_bundle(bundle_dir) -> tuple[SrstlModel | MrmtlModel, dict]:
                 f"gives {source}={want}"
             )
 
-    return _assemble(mode, nets, arch, loss_weight), manifest
+    return Model(**nets, nc1=arch.nc1, nc2=arch.nc2, loss_weight=loss_weight), manifest

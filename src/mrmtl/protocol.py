@@ -12,13 +12,15 @@ runs both rounds over the whole set and caches the outputs, and
 apply_threshold(), operating_point() and sweep_from_cache() resolve any delta
 against the cache without touching the channel again. run_protocol(),
 evaluate_rounds(), calibrate_threshold() and training's test pass
-(models.mrmtl_head_accuracies) share one chunk loop and channel-draw layout
-over batch-invariant inference, so a run_protocol trace equals
-apply_threshold(evaluate_rounds(...), delta) under the same entry rng state,
-and each sweep row equals a run_protocol call.
+(models.mrmtl_head_accuracies) share one chunk loop, _receive(), and its
+channel-draw layout over batch-invariant inference, so a run_protocol trace
+equals apply_threshold(evaluate_rounds(...), delta) under the same entry rng
+state, and each sweep row equals a run_protocol call.
 
-The report's numbers are operating_point()'s counts over the cache; the trace
-statistics re-derive them from a trace list, as `mrmtl report` does.
+_receive() returns the RoundCache, with each head's predictions and Round
+1's confidences, that all of them read. The report's numbers are
+operating_point()'s counts over the cache; the trace statistics re-derive
+them from a trace list, as `mrmtl report` does.
 
 An inference encoder reads no rng and no channel, so Round 1's symbols depend
 only on the images and Encoder 1's parameters. calibrate_threshold() keeps
@@ -40,8 +42,11 @@ import numpy as np
 
 from .channel import ChannelConfig, ChannelDraw, apply_channel, draw_channel
 from .dataset import Split
-from .models import (CHUNK, DecoderOutput, MrmtlModel, _decode1, _decode2, _symbols,
-                     _transmit_batch)
+from .models import DecoderOutput, Model, _decode1, _decode2, _symbols, _transmit_batch
+
+# Inference walks a split in unshuffled chunks of this many samples
+# (_receive), so its draws depend only on rng state and order.
+CHUNK = 64
 
 # The most thresholds delta_grid() builds: step 1e-4 over [0, 1].
 MAX_GRID_POINTS = 10_001
@@ -86,6 +91,11 @@ class RoundCache:
 
     def __len__(self) -> int:
         return self.true_labels.shape[0]
+
+    def head_accuracies(self) -> tuple[float, float]:
+        """Each head's accuracy over every sample, Round 1's then Round 2's."""
+        return tuple(int(np.count_nonzero(pred == self.true_labels)) / len(self)
+                     for pred in (self.round1_pred, self.round2_pred))
 
 
 @dataclass(frozen=True)
@@ -139,14 +149,14 @@ def _round1_symbols(encoder, images: np.ndarray, bounds, keep: bool) -> np.ndarr
     return symbols
 
 
-def _round_probs(model, split: Split, channel_cfg: ChannelConfig, chunk_rngs,
-                 delta: float, keep: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Decoder-head probabilities for every sample, one CHUNK at a time.
+def _receive(model: Model, split: Split, channel_cfg: ChannelConfig, chunk_rngs,
+             delta: float, keep: bool = False) -> RoundCache:
+    """Decoder-head outputs for every sample, one CHUNK at a time.
 
     Round 1 runs on every sample. Round 2 runs only on the samples whose
     Round-1 confidence is below delta, the escalation rule of
     apply_threshold: delta = inf runs it everywhere, delta = 0 nowhere. Rows
-    of the Round-2 array that did not run hold NaN.
+    of the Round-2 probabilities that did not run hold NaN.
 
     Round 1's symbols come from _round1_symbols, which keeps them in
     _SYMBOLS when keep is set. The caller supplies the chunks' rngs, one per
@@ -163,40 +173,30 @@ def _round_probs(model, split: Split, channel_cfg: ChannelConfig, chunk_rngs,
     symbols = _round1_symbols(model.encoder1, split.images, bounds, keep)
     k = model.decoder1.output_shape[0]
     probs1 = np.empty((n, k))
+    conf1 = np.empty(n)
     probs2 = np.full((n, k), np.nan)
     for (lo, hi), crng in zip(bounds, chunk_rngs(len(bounds))):
         draw1 = draw_channel(channel_cfg, hi - lo, model.nc1, crng)
         r1 = apply_channel(symbols[lo:hi], draw1)
         probs1[lo:hi] = _decode1(model, r1)
-        rows = np.flatnonzero(probs1[lo:hi].max(axis=1) < delta)
+        conf1[lo:hi] = probs1[lo:hi].max(axis=1)
+        rows = np.flatnonzero(conf1[lo:hi] < delta)
         if rows.size == 0:
             continue
         draw2 = draw_channel(channel_cfg, hi - lo, model.nc2, crng)
         draw2 = ChannelDraw(gain=draw2.gain[rows], noise=draw2.noise[rows])
         r2, _ = _transmit_batch(model.encoder2, split.images[lo:hi][rows], draw2, False, None)
         probs2[lo + rows] = _decode2(model, r1[rows], r2)
-    return probs1, probs2
+    return RoundCache(true_labels=split.labels, round1_probs=probs1,
+                      round1_pred=probs1.argmax(axis=1), round1_conf=conf1,
+                      round2_probs=probs2, round2_pred=probs2.argmax(axis=1),
+                      nc1=model.nc1, nc2=model.nc2)
 
 
-def _cache(model: MrmtlModel, split: Split, probs1: np.ndarray,
-           probs2: np.ndarray) -> RoundCache:
-    return RoundCache(
-        true_labels=split.labels,
-        round1_probs=probs1,
-        round1_pred=probs1.argmax(axis=1),
-        round1_conf=probs1.max(axis=1),
-        round2_probs=probs2,
-        round2_pred=probs2.argmax(axis=1),
-        nc1=model.nc1,
-        nc2=model.nc2,
-    )
-
-
-def evaluate_rounds(model: MrmtlModel, split: Split, channel_cfg: ChannelConfig,
+def evaluate_rounds(model: Model, split: Split, channel_cfg: ChannelConfig,
                     rng) -> RoundCache:
     """Run both heads over every sample once and cache the outputs."""
-    probs1, probs2 = _round_probs(model, split, channel_cfg, rng.spawn, np.inf)
-    return _cache(model, split, probs1, probs2)
+    return _receive(model, split, channel_cfg, rng.spawn, np.inf)
 
 
 def apply_threshold(cache: RoundCache, delta: float) -> list[ProtocolTrace]:
@@ -229,7 +229,7 @@ def apply_threshold(cache: RoundCache, delta: float) -> list[ProtocolTrace]:
     return traces
 
 
-def run_protocol(model: MrmtlModel, split: Split, delta: float, channel_cfg: ChannelConfig,
+def run_protocol(model: Model, split: Split, delta: float, channel_cfg: ChannelConfig,
                  rng) -> list[ProtocolTrace]:
     """Dynamic round selection over a sample set at one threshold.
 
@@ -237,8 +237,7 @@ def run_protocol(model: MrmtlModel, split: Split, delta: float, channel_cfg: Cha
     traces read Round-2 rows of escalated samples alone, so the rows that
     never ran are not seen.
     """
-    probs1, probs2 = _round_probs(model, split, channel_cfg, rng.spawn, delta)
-    return apply_threshold(_cache(model, split, probs1, probs2), delta)
+    return apply_threshold(_receive(model, split, channel_cfg, rng.spawn, delta), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ def threshold_midpoint(mean_conf_correct: float, mean_conf_incorrect: float) -> 
     return (mean_conf_correct + mean_conf_incorrect) / 2.0
 
 
-def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
+def calibrate_threshold(model: Model, split: Split, channel_cfg: ChannelConfig, rng,
                         num_bins: int = 50) -> CalibrationStats:
     """Estimate the escalation threshold from Round-1 behavior alone.
 
@@ -295,12 +294,11 @@ def calibrate_threshold(model, split: Split, channel_cfg: ChannelConfig, rng,
     """
     if not 1 <= num_bins <= MAX_NUM_BINS:
         raise ValueError(f"num_bins must lie in [1, {MAX_NUM_BINS}]")
-    probs, _ = _round_probs(model, split, channel_cfg, rng.spawn, 0.0, keep=True)
-    conf = probs.max(axis=1)
-    correct = probs.argmax(axis=1) == split.labels
-    n = len(split)
+    cache = _receive(model, split, channel_cfg, rng.spawn, 0.0, keep=True)
+    conf = cache.round1_conf
+    correct = cache.round1_pred == cache.true_labels
     n_correct = int(np.count_nonzero(correct))
-    n_incorrect = n - n_correct
+    n_incorrect = len(cache) - n_correct
     if n_correct == 0:
         raise CalibrationError("no correctly classified samples in the calibration set")
     if n_incorrect == 0:

@@ -13,17 +13,17 @@ import pytest
 
 from mrmtl.channel import ChannelConfig
 from mrmtl.dataset import Split, TRAIN_FILES, TEST_FILE
-from mrmtl.models import MrmtlModel, SrstlModel, build_decoder, build_encoder
+from mrmtl.models import Model, build_decoder, build_encoder
 
 SMALL_SHAPE = (3, 8, 8)
 
 
 def small_mrmtl(nc1: int = 4, nc2: int = 4, num_classes: int = 10, seed: int = 0,
-                loss_weight: float = 0.5) -> MrmtlModel:
+                loss_weight: float = 0.5) -> Model:
     """Full architecture over 8x8 inputs, cheap enough for per-test use."""
     ss = np.random.SeedSequence([seed, 77])
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(4)]
-    return MrmtlModel(
+    return Model(
         encoder1=build_encoder(nc1, seeds[0], input_shape=SMALL_SHAPE),
         encoder2=build_encoder(nc2, seeds[1], input_shape=SMALL_SHAPE),
         decoder1=build_decoder(nc1, nc1, seeds[2], num_classes),
@@ -34,13 +34,15 @@ def small_mrmtl(nc1: int = 4, nc2: int = 4, num_classes: int = 10, seed: int = 0
     )
 
 
-def small_srstl(nc1: int = 4, num_classes: int = 10, seed: int = 0) -> SrstlModel:
+def small_srstl(nc1: int = 4, num_classes: int = 10, seed: int = 0) -> Model:
     ss = np.random.SeedSequence([seed, 88])
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(2)]
-    return SrstlModel(
+    return Model(
         encoder1=build_encoder(nc1, seeds[0], input_shape=SMALL_SHAPE),
         decoder1=build_decoder(nc1, nc1, seeds[1], num_classes),
         nc1=nc1,
+        nc2=nc1,
+        loss_weight=0.5,
     )
 
 
@@ -52,7 +54,7 @@ def random_split(n: int = 150, num_classes: int = 10, seed: int = 42,
 
 
 @pytest.fixture(scope="session")
-def mrmtl_small() -> MrmtlModel:
+def mrmtl_small() -> Model:
     return small_mrmtl()
 
 

@@ -26,7 +26,7 @@ from mrmtl.channel import ChannelConfig, draw_channel, noise_variance
 from mrmtl.dataset import load_cifar10, make_synthetic
 from mrmtl.models import (
     ArchitectureConfig,
-    MrmtlModel,
+    Model,
     TrainConfig,
     mrmtl_loss,
     mrmtl_loss_and_grads,
@@ -214,7 +214,7 @@ def _kind_nets(seed: int) -> dict:
     }
 
 
-def _tiny_joint_model(seed: int) -> MrmtlModel:
+def _tiny_joint_model(seed: int) -> Model:
     ss = np.random.SeedSequence([seed, 55])
     r_e1, r_e2, r_d1, r_d2 = [np.random.default_rng(k) for k in ss.spawn(4)]
 
@@ -233,7 +233,7 @@ def _tiny_joint_model(seed: int) -> MrmtlModel:
             nn.Dense(4, 3, "linear", rng=rng),
         ], (in_size,))
 
-    model = MrmtlModel(
+    model = Model(
         encoder1=encoder(r_e1), encoder2=encoder(r_e2),
         decoder1=decoder(2, r_d1), decoder2=decoder(4, r_d2),
         loss_weight=0.5, nc1=2, nc2=2,

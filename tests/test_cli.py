@@ -121,7 +121,7 @@ class TestConfigMerging:
     def test_non_object_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="object"):
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))} must hold a JSON object"):
             load_run_config(ns(config=str(path)))
 
 
@@ -309,6 +309,20 @@ class TestTrainCommand:
         assert cli.main([command, "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "calibrate", "evaluate"])
+    @pytest.mark.parametrize("output", ["afile", "afile/sub"])
+    def test_output_dir_at_or_under_a_file_exits_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, command, output):
+        def no_work(*args):
+            raise AssertionError("dataset built before the output_dir check")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "make_synthetic", no_work)
+        (tmp_path / "afile").write_text("")
+        assert cli.main([command, "-o", output]) == 2
+        assert capsys.readouterr().err == (f"error: output_dir {output}: afile "
+                                           "is not a directory\n")
 
     @pytest.mark.parametrize("error, message", [
         pytest.param(MemoryError("Unable to allocate 14.6 TiB for an array"),
@@ -846,9 +860,9 @@ class TestBundleDatasetMismatch:
         assert "note: evaluation dataset differs" in capsys.readouterr().out
 
 
-def _with_protocol_accuracy(report_text: str, value) -> str:
+def _with_protocol(report_text: str, key: str, value) -> str:
     doc = json.loads(report_text)
-    doc["protocol"]["accuracy"] = value
+    doc["protocol"][key] = value
     return json.dumps(doc)
 
 
@@ -892,13 +906,28 @@ class TestReportCommand:
     def test_exit_2_on_missing_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--dir", str(tmp_path / "nope")]) == 2
 
+    def test_sample_count_mismatch_fails(self, trained_run, tmp_path, capsys):
+        # every metric still agrees; only the count differs
+        report_dir = self._fresh_report(trained_run, tmp_path)
+        path = report_dir / "report.json"
+        doc = json.loads(path.read_text())
+        n = doc["protocol"]["num_samples"]
+        doc["protocol"]["num_samples"] = n + 1
+        path.write_text(json.dumps(doc))
+        assert cli.main(["report", "--dir", str(report_dir)]) == 3
+        out, err = capsys.readouterr()
+        assert "MISMATCH" not in out
+        assert f"{path} has {n + 1} samples, {report_dir / 'traces.csv'} has {n}" in err
+
     @pytest.mark.parametrize("name, tamper", [
         pytest.param("report.json", lambda text: json.dumps({"schema": 1}),
                      id="report-without-protocol"),
         pytest.param("report.json", lambda text: text[: len(text) // 2],
                      id="report-not-json"),
-        pytest.param("report.json", lambda text: _with_protocol_accuracy(text, "x"),
+        pytest.param("report.json", lambda text: _with_protocol(text, "accuracy", "x"),
                      id="report-non-numeric"),
+        pytest.param("report.json", lambda text: _with_protocol(text, "num_samples", 80.0),
+                     id="report-float-num-samples"),
         pytest.param("report.json", lambda text: _with_format_version(text, 2),
                      id="report-version-2"),
         pytest.param("report.json", lambda text: _with_format_version(text, True),
@@ -911,6 +940,8 @@ class TestReportCommand:
                      id="traces-non-numeric"),
         pytest.param("traces.csv", lambda text: text.splitlines()[0] + "\n",
                      id="traces-header-only"),
+        pytest.param("traces.csv", lambda text: text + text.split("\n", 1)[1],
+                     id="traces-rows-duplicated"),
     ])
     def test_exit_2_on_malformed_input(self, trained_run, tmp_path, capsys, name, tamper):
         report_dir = self._fresh_report(trained_run, tmp_path)

@@ -12,13 +12,12 @@ from conftest import (SMALL_SHAPE, edit_checkpoint_header, random_split, small_m
 from mrmtl import models, nn
 from mrmtl.channel import ChannelConfig, draw_channel, power_norm_forward
 from mrmtl.dataset import batches, make_synthetic
-from mrmtl.protocol import _round_probs, evaluate_rounds, run_protocol
+from mrmtl.protocol import _receive, evaluate_rounds, run_protocol
 from mrmtl.models import (
     _forward,
     ArchitectureConfig,
     BundleError,
-    MrmtlModel,
-    SrstlModel,
+    Model,
     TrainConfig,
     TrainingError,
     build_decoder,
@@ -384,7 +383,7 @@ def _ref_head_probs(model, split, channel_cfg, rng):
     """The per-epoch test pass as it was before it ran through the receiver's
     chunk loop: unshuffled 64-sample batches, each drawing round 1 and then
     (MRMTL only) round 2 from rng; returns both heads' probabilities."""
-    two_rounds = isinstance(model, MrmtlModel)
+    two_rounds = model.mode == "mrmtl"
     out1, out2 = [], []
     for lo in range(0, len(split), 64):
         imgs = split.images[lo:lo + 64]
@@ -413,11 +412,10 @@ def test_head_accuracies_match_their_batches_loop(mode, channel_kind):
     channel = ChannelConfig(kind=channel_kind, snr_db=10.0, seed=0)
     rngs = [np.random.default_rng(5) for _ in range(4)]
     ref1, ref2 = _ref_head_probs(model, split, channel, rngs[0])
-    probs1, probs2 = _round_probs(model, split, channel,
-                                  functools.partial(itertools.repeat, rngs[1]),
-                                  np.inf if mode == "mrmtl" else 0.0)
-    assert probs1.tobytes() == ref1.tobytes()
-    assert mode == "srstl" or probs2.tobytes() == ref2.tobytes()
+    cache = _receive(model, split, channel, functools.partial(itertools.repeat, rngs[1]),
+                     np.inf if mode == "mrmtl" else 0.0)
+    assert cache.round1_probs.tobytes() == ref1.tobytes()
+    assert mode == "srstl" or cache.round2_probs.tobytes() == ref2.tobytes()
     assert (models.mrmtl_head_accuracies(model, split, channel, rngs[2])
             == _ref_head_accuracies(model, split, channel, rngs[3]))
     assert len({str(r.bit_generator.state) for r in rngs}) == 1
@@ -428,10 +426,12 @@ def _ref_train_srstl(dataset, arch, channel_cfg, cfg):
     with its loss-and-gradient step inlined."""
     root = np.random.SeedSequence([cfg.seed, 11])
     enc_seed, dec_seed, loop_seed = (int(s.generate_state(1)[0]) for s in root.spawn(3))
-    model = SrstlModel(
+    model = Model(
         encoder1=build_encoder(arch.nc1, enc_seed),
         decoder1=build_decoder(arch.nc1, arch.decoder_hidden, dec_seed, arch.num_classes),
         nc1=arch.nc1,
+        nc2=arch.nc2,
+        loss_weight=cfg.loss_weight,
     )
     rng = np.random.default_rng(loop_seed)
     opt = nn.Adam(lr=cfg.lr)
@@ -463,7 +463,7 @@ def _ref_train_mrmtl(dataset, arch, channel_cfg, cfg):
     its two-round loss-and-gradient step inlined."""
     root = np.random.SeedSequence([cfg.seed, 22])
     seeds = [int(s.generate_state(1)[0]) for s in root.spawn(5)]
-    model = MrmtlModel(
+    model = Model(
         encoder1=build_encoder(arch.nc1, seeds[0]),
         encoder2=build_encoder(arch.nc2, seeds[1]),
         decoder1=build_decoder(arch.nc1, arch.decoder_hidden, seeds[2], arch.num_classes),
@@ -571,7 +571,7 @@ class TestBundles:
         assert (tmp_path / "bundle.json").is_file()
         assert (tmp_path / "training_log.json").is_file()
         loaded, manifest = load_bundle(tmp_path)
-        assert isinstance(loaded, MrmtlModel)
+        assert loaded.mode == "mrmtl"
         assert manifest["mode"] == "mrmtl"
         assert manifest["dataset_fingerprint"] == "fp123"
         assert sorted(manifest["parts"]) == ["decoder1", "decoder2", "encoder1", "encoder2"]
@@ -606,7 +606,7 @@ class TestBundles:
         save_bundle(model, tmp_path, self._arch(), ChannelConfig(seed=0),
                     TrainConfig(epochs=0), "fp")
         loaded, manifest = load_bundle(tmp_path)
-        assert isinstance(loaded, SrstlModel)
+        assert loaded.mode == "srstl"
         assert manifest["mode"] == "srstl"
         assert manifest["parts"] == ["decoder1", "encoder1"]
         for (na, pa), (nb, pb) in zip(model.encoder1.param_items(),
@@ -685,7 +685,7 @@ class TestBundles:
         manifest["architecture"]["nc2"] = 9  # no round-2 part to contradict
         (tmp_path / "bundle.json").write_text(json.dumps(manifest))
         loaded, _ = load_bundle(tmp_path)
-        assert isinstance(loaded, SrstlModel)
+        assert loaded.mode == "srstl"
         manifest["architecture"]["nc1"] = 9
         (tmp_path / "bundle.json").write_text(json.dumps(manifest))
         with pytest.raises(BundleError, match="encoder1.ckpt .*nc1=9"):

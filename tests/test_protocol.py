@@ -13,7 +13,7 @@ from mrmtl.channel import ChannelConfig
 from mrmtl.dataset import Split
 from mrmtl.models import (
     ArchitectureConfig,
-    MrmtlModel,
+    Model,
     TrainConfig,
     build_decoder,
     build_encoder,
@@ -154,6 +154,12 @@ class TestSummaryStatistics:
         ad = operating_point(cache, 0.0)["accuracy_decomposition"]
         assert ad["p_escalate"] == 0.0
         assert ad["accuracy_given_escalate"] == 0.0
+
+    def test_head_accuracies_count_each_head(self):
+        cache = crafted_cache([0.5, 0.8, 0.9, 0.2], [1, 2, 3, 0], [4, 5, 3, 0], [4, 2, 3, 1])
+        assert cache.head_accuracies() == (2 / 4, 2 / 4)
+        cache = crafted_cache([0.5, 0.8], [1, 2], [1, 9], [1, 2])
+        assert cache.head_accuracies() == (1.0, 0.5)
 
     def test_empty_traces_rejected(self):
         for fn in (average_delay, task_accuracy, escalation_rate):
@@ -311,15 +317,15 @@ class TestCalibration:
 
 
 @pytest.fixture(scope="module")
-def mrmtl_32() -> MrmtlModel:
+def mrmtl_32() -> Model:
     """The deployed 3x32x32 architecture."""
-    return MrmtlModel(encoder1=build_encoder(4, 1), encoder2=build_encoder(4, 2),
-                      decoder1=build_decoder(4, 4, 3), decoder2=build_decoder(8, 4, 4),
-                      loss_weight=0.5, nc1=4, nc2=4)
+    return Model(encoder1=build_encoder(4, 1), encoder2=build_encoder(4, 2),
+                 decoder1=build_decoder(4, 4, 3), decoder2=build_decoder(8, 4, 4),
+                 loss_weight=0.5, nc1=4, nc2=4)
 
 
 @pytest.fixture(scope="module")
-def mrmtl_8() -> MrmtlModel:
+def mrmtl_8() -> Model:
     """The 3x8x8 test architecture: its late conv layers see a few patch rows
     per image, where a GEMM's rounding is most sensitive to its row count."""
     return small_mrmtl()
@@ -328,7 +334,7 @@ def mrmtl_8() -> MrmtlModel:
 @pytest.fixture(params=[pytest.param(("mrmtl_8", 29), id="8x8-n29"),
                         pytest.param(("mrmtl_8", 92), id="8x8-n92"),
                         pytest.param(("mrmtl_32", 70), id="32x32-n70")])
-def gated(request) -> tuple[MrmtlModel, Split]:
+def gated(request) -> tuple[Model, Split]:
     """A model and a split whose size is not a multiple of protocol.CHUNK."""
     name, n = request.param
     model = request.getfixturevalue(name)
