@@ -291,10 +291,8 @@ def mrmtl_head_accuracies(model: Model, split: Split, cfg: ChannelConfig,
     """
     from .protocol import _receive  # protocol imports this module
 
-    two_rounds = model.mode == "mrmtl"
-    acc1, acc2 = _receive(model, split, cfg, functools.partial(itertools.repeat, rng),
-                          np.inf if two_rounds else 0.0).head_accuracies()
-    return acc1, (acc2 if two_rounds else None)
+    return _receive(model, split, cfg, functools.partial(itertools.repeat, rng),
+                    np.inf if model.mode == "mrmtl" else 0.0).head_accuracies()
 
 
 def _train(mode: str, dataset: Dataset, arch: ArchitectureConfig,

@@ -4,18 +4,24 @@ All arrays are float64. Layers operate on batched inputs: (B, C, H, W) for
 the convolutional stack, (B, D) after Flatten. Each layer caches what its
 backward pass needs when run in training mode:
 
-- Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix, and for ReLU
-  the boolean (B*H*W, filters) mask of positive outputs. Forward copies
-  images into a zero-bordered padded buffer (no np.pad), gathers their patch
-  rows through a cached read-only index and multiplies them by the filters.
-  Training gathers the whole batch, refilling the last training pass's
-  matrix when the shapes match, and multiplies it at once; inference gathers
-  one cache-sized block of images at a time into reused buffers and
-  multiplies each image on its own. Backward is one GEMM for the weight
-  gradient and, for the input gradient, k*k tap GEMMs over blocks of images,
-  each added into the padded channels-last gradient.
+- Conv2D: the contiguous (B*H*W, C*k*k) im2col patch matrix, the small
+  padded buffer it was gathered through, and for ReLU the boolean
+  (B*H*W, filters) mask of positive outputs. Forward copies one cache-sized
+  block of images at a time into a zero-bordered channels-last padded
+  buffer (no np.pad), which a conv output's own memory fills row by row, and
+  gathers their patch rows through a cached read-only index, in the
+  (channel, kernel row, kernel column) order of the filters' columns.
+  Training gathers the whole batch's matrix, refilling the last training
+  pass's matrix and buffer when the shapes match, and multiplies it at once;
+  inference multiplies each block as soon as it is gathered, G images per
+  GEMM, and adds the bias and ReLU while the block's result is in cache.
+  Either way a conv returns an NCHW view of channels-last output. Backward
+  is one GEMM for the weight gradient and, for the input gradient, k*k tap
+  GEMMs over blocks of images, each added into the padded channels-last
+  gradient.
 - MaxPool2D: a boolean mask over the input marking the first maximum of
-  each window in row-major order.
+  each window in row-major order. Its output keeps the input's memory
+  order, so a conv's channels-last output pools into channels-last memory.
 - Dropout: the scaled keep mask. Flatten: the input shape.
 - Dense: the input and the pre-activation.
 
@@ -30,9 +36,12 @@ layer_from_config() rejects a dict that lacks or adds one rather than build
 another network from constructor defaults.
 
 Inference is batch invariant: a sample's output bits do not depend on what
-else is in its batch. Conv2D runs a GEMM per image, and Dense pads its rows
-with copies of the last to a multiple of 4, which OpenBLAS rounds alike,
-unlike a matrix-vector product or a remainder of 2 or 3 rows.
+else is in its batch. Conv2D multiplies a fixed number G of images per GEMM,
+set by the output's H x W alone (_group_images), and pads the last group with
+copies of the last image. Dense pads its rows with copies of the last to a
+multiple of 4. OpenBLAS rounds a row alike in all such GEMMs, unlike a
+matrix-vector product, a remainder of 2 or 3 rows, or a grouped GEMM of images
+whose pixel count is not a multiple of 64.
 """
 
 from __future__ import annotations
@@ -99,12 +108,13 @@ class Layer:
 
 @functools.lru_cache(maxsize=64)
 def _im2col_index(C: int, Hp: int, Wp: int, k: int) -> np.ndarray:
-    """Read-only flat offsets of every patch entry into one padded image.
+    """Read-only flat offsets of every patch entry into one channels-last
+    padded image.
 
-    idx[h, w, c, i, j] = (c*Hp + h + i)*Wp + w + j, raveled: the patch under
-    output pixel (h, w) in (channel, kernel row, kernel column) order. Built
-    once per shape and shared, so it must never be written; the encoder's six
-    shapes take about 5 MB.
+    idx[h, w, c, i, j] = ((h + i)*Wp + w + j)*C + c, raveled: the patch under
+    output pixel (h, w) in (channel, kernel row, kernel column) order, the
+    order of the filters' columns. Built once per shape and shared, so it
+    must never be written; the encoder's six shapes take about 5 MB.
     """
     H, W = Hp - k + 1, Wp - k + 1
     h = np.arange(H).reshape(H, 1, 1, 1, 1)
@@ -112,19 +122,19 @@ def _im2col_index(C: int, Hp: int, Wp: int, k: int) -> np.ndarray:
     c = np.arange(C).reshape(1, 1, C, 1, 1)
     i = np.arange(k).reshape(1, 1, 1, k, 1)
     j = np.arange(k).reshape(1, 1, 1, 1, k)
-    idx = ((c * Hp + h + i) * Wp + w + j).ravel()
+    idx = (((h + i) * Wp + w + j) * C + c).ravel()
     idx.flags.writeable = False
     return idx
 
 
 def _im2col(xp: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """(B, C, Hp, Wp) padded input -> contiguous (B*H*W, C*k*k) patch matrix.
+    """(B, Hp, Wp, C) padded input -> contiguous (B*H*W, C*k*k) patch matrix.
 
     Row b*H*W + h*W + w is the patch under output pixel (h, w) of image b,
     flattened in (channel, kernel row, kernel column) order. One gather, into
     out, which must have that shape and xp's dtype.
     """
-    B, C, Hp, Wp = xp.shape
+    B, Hp, Wp, C = xp.shape
     idx = _im2col_index(C, Hp, Wp, k)
     # Every offset is in range, so "clip" changes nothing; with out= the
     # default "raise" would gather into a temporary first and then copy.
@@ -132,15 +142,35 @@ def _im2col(xp: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bytes of one block of images' working buffer: the inference patch rows in
-# the forward pass, each tap's slab in the input gradient. Small enough that a
-# block's GEMM operand or result is still in cache when it is next read.
+# Bytes of one block of images' working buffer: the patch rows the forward
+# pass gathers at once, each tap's slab in the input gradient. Small enough
+# that a block's GEMM operand or result is still in cache when it is next read.
 _BLOCK_BYTES = 1 << 21
 
+# Patch rows an inference GEMM should at least have, so that the per-call
+# threading and filter packing are spread over several images.
+_GROUP_ROWS = 2048
 
-def _block_images(B: int, image_bytes: int) -> int:
-    """Images per block: as many as fit in _BLOCK_BYTES, at least one."""
-    return min(B, max(1, _BLOCK_BYTES // image_bytes))
+
+def _group_images(H: int, W: int) -> int:
+    """Images per inference GEMM at an H x W output: enough for _GROUP_ROWS
+    patch rows when H*W is a multiple of 64, else 1.
+
+    It depends on the shape alone, never on the batch. OpenBLAS gives a row
+    the same bits in a G-image GEMM as in its own image's GEMM only for some
+    row counts: images of 4-24 rows (default kernel, K = 288) and of 42 rows
+    (Haswell kernel, two threads) came out differently.
+    """
+    if H * W % 64:
+        return 1
+    return -(-_GROUP_ROWS // (H * W))
+
+
+def _block_images(B: int, image_bytes: int, group: int = 1) -> int:
+    """Images per block: as many whole groups as fit in _BLOCK_BYTES, at
+    least one, and no more than B rounded up to a whole group needs."""
+    groups = -(-B // group)
+    return group * min(groups, max(1, _BLOCK_BYTES // (group * image_bytes)))
 
 
 def _conv_input_grad(dpre: np.ndarray, w: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
@@ -203,42 +233,62 @@ class Conv2D(Layer):
 
     def forward(self, x, train, rng):
         B, C, H, W = x.shape
-        k = self.kernel_size
+        k, F = self.kernel_size, self.filters
         p = (k - 1) // 2
-        # A training pass refills the last training pass's patch matrix:
-        # gathering into warm pages costs about half a fresh array's. The old
-        # cache goes first, so a changed batch size never holds both.
-        cols = None
+        hw, ckk = H * W, C * k * k
+        # Both modes gather blocks of m images through one small padded
+        # buffer. Training multiplies the whole batch's patch matrix at once;
+        # inference multiplies each block as it is gathered, G images per
+        # GEMM, with the last group padded by copies of the last image, as
+        # Dense pads its rows.
+        G = B if train else _group_images(H, W)
+        m = _block_images(B, hw * ckk * x.itemsize, 1 if train else G)
+        Bg = -(-B // G) * G
+        # A training pass refills the last training pass's patch matrix and
+        # padded buffer: gathering into warm pages costs about half a fresh
+        # array's. The old cache goes first, so a changed batch size never
+        # holds both.
+        cols = xp = None
         if train and self._cache is not None:
-            cols, self._cache = self._cache[0], None
-            if cols.shape != (B * H * W, C * k * k) or cols.dtype != x.dtype:
-                cols = None
-        m = B if train else _block_images(B, H * W * C * k * k * x.itemsize)
-        gemm_rows = (B if train else 1) * H * W  # inference: one GEMM per image
+            cols, xp = self._cache[:2]
+            self._cache = None
+            if (cols.shape != (B * hw, ckk) or xp.shape != (m, H + 2 * p, W + 2 * p, C)
+                    or cols.dtype != x.dtype):
+                cols = xp = None
         if cols is None:
-            cols = np.empty((m * H * W, C * k * k), dtype=x.dtype)
-        # The block's padded images; the border is never written, so it stays 0.
-        xp = np.zeros((m, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
-        wmat = self.params["w"].reshape(self.filters, -1).T
-        out = np.empty((B * H * W, self.filters), dtype=np.result_type(x, wmat))
+            cols = np.empty(((B if train else m) * hw, ckk), dtype=x.dtype)
+            # channels-last; the border is never written, so it stays 0
+            xp = np.zeros((m, H + 2 * p, W + 2 * p, C), dtype=x.dtype)
+        xt = x.transpose(0, 2, 3, 1)  # a conv output's own memory order
+        wmat = self.params["w"].reshape(F, -1).T
+        out = np.empty((Bg * hw, F), dtype=np.result_type(x, wmat))
         for b0 in range(0, B, m):
-            n = min(m, B - b0)
-            xp[:n, :, p:p + H, p:p + W] = x[b0:b0 + n]
-            block = _im2col(xp[:n], k, cols[:n * H * W])
-            np.matmul(block.reshape(-1, gemm_rows, C * k * k), wmat,
-                      out=out[b0 * H * W:(b0 + n) * H * W].reshape(-1, gemm_rows, self.filters))
+            n, ng = min(m, B - b0), min(m, Bg - b0)
+            xp[:n, p:p + H, p:p + W] = xt[b0:b0 + n]
+            xp[n:ng, p:p + H, p:p + W] = xt[B - 1]
+            r0 = b0 * hw if train else 0
+            block = _im2col(xp[:ng], k, cols[r0:r0 + ng * hw])
+            if not train:
+                self._multiply(block, wmat, out[b0 * hw:(b0 + ng) * hw], G * hw)
+        if train:
+            self._multiply(cols, wmat, out, B * hw)
+            # out > 0 exactly where the pre-activation was > 0
+            mask = out > 0.0 if self.activation == "relu" else None
+            self._cache = (cols, xp, mask, (B, C, H, W))
+        return out[:B * hw].reshape(B, H, W, F).transpose(0, 3, 1, 2)
+
+    def _multiply(self, cols, wmat, out, rows):
+        """out = activation(cols @ wmat + b): one GEMM per `rows` patch rows,
+        then the bias and ReLU in place."""
+        np.matmul(cols.reshape(-1, rows, cols.shape[1]), wmat,
+                  out=out.reshape(-1, rows, out.shape[1]))
         out += self.params["b"]
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
-        if train:
-            # out > 0 exactly where the pre-activation was > 0
-            mask = out > 0.0 if self.activation == "relu" else None
-            self._cache = (cols, mask, (B, C, H, W))
-        return out.reshape(B, H, W, self.filters).transpose(0, 3, 1, 2)
 
     def backward(self, dout):
         self._require_cache()
-        cols, mask, (B, C, H, W) = self._cache
+        cols, _, mask, (B, C, H, W) = self._cache
         p = (self.kernel_size - 1) // 2
         dpre = np.empty((B, H, W, self.filters))
         if mask is not None:
@@ -286,8 +336,10 @@ class MaxPool2D(Layer):
         win = x.reshape(B, C, H // p, p, W // p, p)
         offsets = [(i, j) for i in range(p) for j in range(p)]  # row-major
         # Elementwise maxima over the window taps: much faster than a
-        # reduction over the two short window axes, and max is exact.
-        out = win[:, :, :, 0, :, 0].copy()
+        # reduction over the two short window axes, and max is exact. The
+        # output keeps the input's memory order: a conv's channels-last
+        # output pools into channels-last memory under the same NCHW view.
+        out = win[:, :, :, 0, :, 0].copy(order="K")
         for i, j in offsets[1:]:
             np.maximum(out, win[:, :, :, i, :, j], out=out)
         if train:

@@ -85,17 +85,19 @@ class RoundCache:
     round1_pred: np.ndarray    # (N,) int
     round1_conf: np.ndarray    # (N,)
     round2_probs: np.ndarray   # (N, K)
-    round2_pred: np.ndarray    # (N,) int
+    round2_pred: np.ndarray    # (N,) int, -1 where Round 2 never ran
     nc1: int
     nc2: int
 
     def __len__(self) -> int:
         return self.true_labels.shape[0]
 
-    def head_accuracies(self) -> tuple[float, float]:
-        """Each head's accuracy over every sample, Round 1's then Round 2's."""
-        return tuple(int(np.count_nonzero(pred == self.true_labels)) / len(self)
-                     for pred in (self.round1_pred, self.round2_pred))
+    def head_accuracies(self) -> tuple[float, float | None]:
+        """Each head's accuracy over every sample, Round 1's then Round 2's;
+        Round 2's is None unless it ran on every sample."""
+        acc1, acc2 = (int(np.count_nonzero(pred == self.true_labels)) / len(self)
+                      for pred in (self.round1_pred, self.round2_pred))
+        return acc1, (acc2 if (self.round2_pred >= 0).all() else None)
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def _receive(model: Model, split: Split, channel_cfg: ChannelConfig, chunk_rngs,
     Round 1 runs on every sample. Round 2 runs only on the samples whose
     Round-1 confidence is below delta, the escalation rule of
     apply_threshold: delta = inf runs it everywhere, delta = 0 nowhere. Rows
-    of the Round-2 probabilities that did not run hold NaN.
+    that did not run hold NaN Round-2 probabilities and prediction -1.
 
     Round 1's symbols come from _round1_symbols, which keeps them in
     _SYMBOLS when keep is set. The caller supplies the chunks' rngs, one per
@@ -189,7 +191,8 @@ def _receive(model: Model, split: Split, channel_cfg: ChannelConfig, chunk_rngs,
         probs2[lo + rows] = _decode2(model, r1[rows], r2)
     return RoundCache(true_labels=split.labels, round1_probs=probs1,
                       round1_pred=probs1.argmax(axis=1), round1_conf=conf1,
-                      round2_probs=probs2, round2_pred=probs2.argmax(axis=1),
+                      round2_probs=probs2,
+                      round2_pred=np.where(conf1 < delta, probs2.argmax(axis=1), -1),
                       nc1=model.nc1, nc2=model.nc2)
 
 

@@ -140,7 +140,7 @@ def _assert_same_pass(layer, ref_layer, fwd, bwd, x, dout):
 
     Training is checked against the reference on the whole batch, inference
     against the reference run one image at a time: inference is batch
-    invariant, so it multiplies each image on its own."""
+    invariant, so each image comes out as from a GEMM of its own."""
     want = fwd(ref_layer, x, True, None)
     assert _same_bits(layer.forward(x, True, None), want)
     assert _same_bits(layer.backward(dout), bwd(ref_layer, dout))
@@ -198,22 +198,27 @@ def test_conv_bitwise_matches_reference_on_deployed_shapes(C, F, side):
 def test_conv_reused_patch_buffer_matches_fresh_layers():
     # Training passes at batch sizes 4, 3 (a partial batch), 4 and 4: each
     # matches a fresh reference layer, and only the last, at an unchanged
-    # shape, gathers into the previous pass's patch matrix.
+    # shape, gathers into the previous pass's patch matrix through its
+    # padded buffer, whose border is still zero.
     rng = np.random.default_rng(21)
     layer = nn.Conv2D(3, 5, 3, "relu", rng=np.random.default_rng(4))
-    reused, last = [], None
+    border = np.ones((8, 9), dtype=bool)
+    border[1:-1, 1:-1] = False
+    reused, last = [], (None, None)
     for B in (4, 3, 4, 4):
         ref_layer = nn.Conv2D(3, 5, 3, "relu", rng=np.random.default_rng(4))
         x = rng.normal(size=(B, 3, 6, 7))
         dout = rng.normal(size=(B, 5, 6, 7))
         _assert_same_pass(layer, ref_layer, ref_conv_forward, ref_conv_backward, x, dout)
-        reused.append(layer._cache[0] is last)
-        last = layer._cache[0]
-    assert reused == [False, False, False, True]
+        cols, xp = layer._cache[:2]
+        reused.append((cols is last[0], xp is last[1]))
+        assert not xp[:, border].any()
+        last = cols, xp
+    assert reused == [(False, False)] * 3 + [(True, True)]
 
 
-# Block sizes for inference: one image per block, the default, and one block
-# for any batch.
+# Gather block sizes: the fewest images a block takes (one image in training,
+# one GEMM group in inference), the default, and one block for any batch.
 BLOCK_SPLITS = {"one_image": 1, "default": nn.layers._BLOCK_BYTES, "whole_batch": 1 << 40}
 
 
@@ -233,26 +238,80 @@ def _count_gathers(monkeypatch):
 
 @pytest.mark.parametrize("C, F, side", ENCODER_CONVS)
 def test_conv_blocked_inference_matches_reference_at_every_split(monkeypatch, C, F, side):
-    # Inference gathers and multiplies block by block; whatever the split,
-    # the output equals the whole-batch reference GEMM bit for bit.
+    # Inference gathers and multiplies block by block, each block a whole
+    # number of GEMM groups, the last padded; whatever the split, the output
+    # equals the whole-batch reference GEMM bit for bit.
     from mrmtl.nn import layers
 
     rng = np.random.default_rng([C, F, side, 2])
     layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(C))
     ref_layer = nn.Conv2D(C, F, 3, "relu", rng=np.random.default_rng(C))
     gathers = _count_gathers(monkeypatch)
+    G = layers._group_images(side, side)
     for B in (1, 3, 64, 65):
         x = rng.normal(size=(B, C, side, side))
         if C != 3:
             x = np.maximum(x, 0.0)
         want = ref_conv_forward(ref_layer, x, False, None)
+        Bg = -(-B // G) * G  # B in whole groups
         for split, block_bytes in BLOCK_SPLITS.items():
             monkeypatch.setattr(layers, "_BLOCK_BYTES", block_bytes)
             gathers.clear()
             assert _same_bits(layer.forward(x, False, None), want), (B, split)
-            m = {"one_image": 1, "whole_batch": B}.get(
-                split, layers._block_images(B, side * side * C * 9 * 8))
-            assert gathers == [m] * (B // m) + [B % m] * (B % m > 0), (B, split)
+            m = {"one_image": G, "whole_batch": Bg}.get(
+                split, layers._block_images(B, side * side * C * 9 * 8, G))
+            assert m % G == 0
+            assert gathers == [m] * (Bg // m) + [Bg % m] * (Bg % m > 0), (B, split)
+
+
+@pytest.mark.parametrize("C, F, side", ENCODER_CONVS)
+def test_conv_grouped_inference_matches_per_image_reference(C, F, side):
+    # G images share a GEMM, so a batch whose size is not a multiple of G
+    # pads its last group; every image still comes out as from a GEMM of its
+    # own, in any batch, subset or order. Linear, so that no ReLU hides a
+    # difference in a negative output; later layers see a conv's
+    # channels-last memory under its NCHW view, as deployed.
+    from mrmtl.nn import layers
+
+    G = layers._group_images(side, side)
+    assert G == {32: 2, 16: 8, 8: 32}[side]
+    rng = np.random.default_rng([C, F, side, 3])
+    layer = nn.Conv2D(C, F, 3, "linear", rng=np.random.default_rng(C))
+    ref_layer = nn.Conv2D(C, F, 3, "linear", rng=np.random.default_rng(C))
+    x = rng.normal(size=(80, side, side, C)).transpose(0, 3, 1, 2)
+    if C == 3:
+        x = np.ascontiguousarray(x)  # the images themselves are NCHW
+    want = np.concatenate([ref_conv_forward(ref_layer, x[i:i + 1], False, None)
+                           for i in range(len(x))])
+    for B in (1, G - 1, G + 1, 64, 65, 80):
+        assert _same_bits(layer.forward(x[:B], False, None), want[:B]), B
+    for rows in (np.sort(rng.choice(80, 37, replace=False)), rng.permutation(80)):
+        assert _same_bits(layer.forward(x[rows], False, None), want[rows]), rows
+
+
+def test_conv_groups_images_only_at_multiples_of_64_pixels(monkeypatch):
+    # At 6x7 (42 rows an image), OpenBLAS rounds a row of a grouped GEMM
+    # differently from the same row in its own image's GEMM, so each image
+    # keeps a GEMM of its own; at 8x8 they go 32 to a GEMM.
+    from mrmtl.nn import layers
+
+    calls = []
+    multiply = nn.Conv2D._multiply
+
+    def recorded(self, cols, wmat, out, rows):
+        calls.append((cols.shape[0], rows))
+        return multiply(self, cols, wmat, out, rows)
+
+    monkeypatch.setattr(nn.Conv2D, "_multiply", recorded)
+    assert layers._group_images(6, 7) == 1
+    layer = nn.Conv2D(3, 5, 5, "linear", rng=np.random.default_rng(5))
+    x = np.random.default_rng(6).normal(size=(5, 3, 6, 7))
+    layer.forward(x, False, None)
+    assert calls == [(5 * 42, 42)]
+    calls.clear()
+    nn.Conv2D(3, 5, 3, "linear", rng=np.random.default_rng(5)).forward(
+        np.random.default_rng(6).normal(size=(5, 3, 8, 8)), False, None)
+    assert calls == [(32 * 64, 32 * 64)]  # 5 images padded to one group
 
 
 @pytest.mark.parametrize("split", ["one_image", "whole_batch"])
@@ -320,7 +379,7 @@ def test_conv_bitwise_matches_reference_across_alternating_shapes():
         x = rng.normal(size=(2, C, H, W))
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         out = np.empty((2 * H * W, C * k * k))
-        assert _im2col(xp, k, out) is out
+        assert _im2col(np.ascontiguousarray(xp.transpose(0, 2, 3, 1)), k, out) is out
         assert _same_bits(out, ref_im2col(xp, k).reshape(-1, C * k * k))
         idx = _im2col_index(C, H + 2 * p, W + 2 * p, k)
         assert not idx.flags.writeable
@@ -395,6 +454,20 @@ def test_maxpool_bitwise_matches_reference(p, kind):
     dout = rng.normal(size=(3, 4, 2, 3))
     _assert_same_pass(nn.MaxPool2D(p), nn.MaxPool2D(p), ref_pool_forward,
                       ref_pool_backward, x, dout)
+
+
+@pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+def test_maxpool_inference_keeps_the_input_memory_order(layout):
+    # A conv's output is channels-last memory under an NCHW view; inference
+    # pools it into channels-last memory, and an NCHW input into NCHW, with
+    # the reference's bits either way.
+    x = np.random.default_rng(7).normal(size=(3, 8, 6, 4))  # (B, H, W, C)
+    x = x.transpose(0, 3, 1, 2) if layout == "nhwc" else x.reshape(3, 4, 8, 6)
+    layer, ref_layer = nn.MaxPool2D(2), nn.MaxPool2D(2)
+    got = layer.forward(x, False, None)
+    assert _same_bits(got, ref_pool_forward(ref_layer, x, False, None))
+    memory = got.transpose(0, 2, 3, 1) if layout == "nhwc" else got
+    assert memory.flags.c_contiguous
 
 
 def test_maxpool_nan_reaches_output_and_gradient():

@@ -412,6 +412,22 @@ class TestGatedRoundTwo:
             want = [k for k in (sum(t.escalated for t in c) for c in chunks) if k]
             assert seen["encoder2"] == seen["decoder2"] == want
 
+    def test_gated_cache_reports_no_round_two_accuracy(self, gated, awgn_cfg):
+        # A row whose Round 2 never ran predicts -1, not numpy's argmax of a
+        # NaN row (class 0), so a gated cache has no Round-2 head accuracy
+        # to report; the rows that ran keep the full pass's predictions.
+        model, split = gated
+        full = evaluate_rounds(model, split, awgn_cfg, np.random.default_rng(23))
+        assert full.head_accuracies()[1] is not None
+        for delta in (0.0, float(np.median(full.round1_conf))):
+            cache = protocol._receive(model, split, awgn_cfg,
+                                      np.random.default_rng(23).spawn, delta)
+            ran = full.round1_conf < delta
+            assert ran.sum() == (0 if delta == 0.0 else len(split) // 2)
+            assert (cache.round2_pred[~ran] == -1).all()
+            assert (cache.round2_pred[ran] == full.round2_pred[ran]).all()
+            assert cache.head_accuracies() == (full.head_accuracies()[0], None)
+
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
